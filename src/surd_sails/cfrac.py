@@ -19,7 +19,9 @@ from .errors import (
     InvalidPeriod,
     NotEquivalent,
     NotPurelyPeriodic,
+    ResourceLimit,
 )
+from .symmetry import smallest_period
 
 _ITERATION_CAP = 10**6
 
@@ -41,13 +43,8 @@ class PeriodicCF:
     def __init__(self, preperiod, period):
         preperiod = tuple(preperiod)
         period = tuple(period)
-        if not period:
-            raise InvalidPeriod("period must be nonempty")
-        if any(x < 1 for x in period):
-            raise InvalidPeriod(f"period letters must be >= 1: {period}")
-        if any(x < 1 for x in preperiod[1:]):
-            raise InvalidPeriod(f"preperiod letters after the first must be >= 1: {preperiod}")
-        if _smallest_period(period) != len(period):
+        _check_letters(preperiod, period)
+        if smallest_period(period) != len(period):
             raise InvalidPeriod(f"period {period} is a power of a shorter word")
         if preperiod and preperiod[-1] == period[-1]:
             raise InvalidPeriod(
@@ -69,14 +66,8 @@ class PeriodicCF:
         """Build from an arbitrary representation: primitivize, then trim."""
         preperiod = list(preperiod)
         period = list(period)
-        if not period:
-            raise InvalidPeriod("period must be nonempty")
-        if any(x < 1 for x in period):
-            raise InvalidPeriod(f"period letters must be >= 1: {period}")
-        if any(x < 1 for x in preperiod[1:]):
-            raise InvalidPeriod(f"preperiod letters after the first must be >= 1: {preperiod}")
-        p = _smallest_period(tuple(period))
-        period = period[:p]
+        _check_letters(preperiod, period)
+        period = period[: smallest_period(tuple(period))]
         while preperiod and preperiod[-1] == period[-1]:
             preperiod.pop()
             period = [period[-1]] + period[:-1]
@@ -130,12 +121,25 @@ class PeriodicCF:
         return cls.normalized(data["preperiod"], data["period"])
 
 
-def _smallest_period(word: tuple[int, ...]) -> int:
-    t = len(word)
-    for p in range(1, t):
-        if t % p == 0 and all(word[i] == word[(i + p) % t] for i in range(t)):
-            return p
-    return t
+def _check_letters(preperiod, period) -> None:
+    if not period:
+        raise InvalidPeriod("period must be nonempty")
+    if any(x < 1 for x in period):
+        raise InvalidPeriod(f"period letters must be >= 1: {period}")
+    if any(x < 1 for x in preperiod[1:]):
+        raise InvalidPeriod(f"preperiod letters after the first must be >= 1: {preperiod}")
+
+
+def continuant(letters, p: int = 1, q: int = 0, r: int = 0, s: int = 1) -> tuple[int, int, int, int]:
+    """The seed matrix [[p, q], [r, s]] times the product of [[a, 1], [1, 0]] over letters.
+
+    With seed columns (v_{-1} | v_{-2}), the columns after letters a_0..a_k
+    are (v_k | v_{k-1}) for the recurrence v_k = v_{k-2} + a_k * v_{k-1}:
+    the convergents of a continued fraction and the vertices of a sail.
+    """
+    for a in letters:
+        p, q, r, s = p * a + q, p, r * a + s, r
+    return p, q, r, s
 
 
 class Convergent(NamedTuple):
@@ -186,8 +190,8 @@ def _quotient_walk(alpha: QuadraticSurd):
         bbd = b * b * d
         count += 1
         if count > _ITERATION_CAP:
-            raise InternalInvariantError(
-                f"no period found for {alpha!r} within {_ITERATION_CAP} steps"
+            raise ResourceLimit(
+                f"no period found for {alpha!r} within the limit of {_ITERATION_CAP} steps"
             )
 
 
@@ -195,6 +199,12 @@ def expand(alpha: QuadraticSurd) -> PeriodicCF:
     """Continued-fraction expansion with exact minimal period detection."""
     letters, _states, start = _quotient_walk(alpha)
     return PeriodicCF.normalized(letters[:start], letters[start:])
+
+
+def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, frozenset[tuple[int, int, int]]]:
+    """The expansion of alpha and the state keys of its cycle, from one walk."""
+    letters, states, start = _quotient_walk(alpha)
+    return PeriodicCF.normalized(letters[:start], letters[start:]), frozenset(states[start:])
 
 
 def complete_quotient_cycle(alpha: QuadraticSurd) -> list[QuadraticSurd]:
@@ -211,9 +221,7 @@ def value(cf: PeriodicCF) -> QuadraticSurd:
     quadratic of the period word's continuant matrix; the preperiod is then
     applied one letter at a time.
     """
-    p, q, r, s = 1, 0, 0, 1
-    for letter in cf.period:
-        p, q, r, s = p * letter + q, p, r * letter + s, r
+    p, q, r, s = continuant(cf.period)
     # fixed point of x -> (p x + q)/(r x + s):  r x^2 + (s - p) x - q = 0
     plus = QuadraticSurd.from_root(r, s - p, -q, larger=True)
     if plus.is_reduced():
@@ -241,12 +249,10 @@ def convergents(cf: PeriodicCF, n: int) -> list[Convergent]:
     if n < 1:
         raise ValueError("need at least one convergent")
     out: list[Convergent] = []
-    p1, p2 = 0, 1  # p_{-2}, p_{-1}
-    q1, q2 = 1, 0  # q_{-2}, q_{-1}
+    m = (1, 0, 0, 1)  # columns (p_{-1}, q_{-1}) | (p_{-2}, q_{-2})
     for a in cf.letters(n):
-        p1, p2 = p2, a * p2 + p1
-        q1, q2 = q2, a * q2 + q1
-        out.append(Convergent(p2, q2))
+        m = continuant((a,), *m)
+        out.append(Convergent(m[0], m[2]))
     return out
 
 
@@ -288,33 +294,28 @@ def serret_equivalent(alpha: QuadraticSurd, omega: QuadraticSurd) -> bool:
 
 
 def _quotient_matrices(alpha: QuadraticSurd):
-    """Yield (state_key, M) with alpha = mobius(M, complete quotient at state)."""
+    """Pairs (state_key, M) with alpha = mobius(M, complete quotient at state)."""
     letters, states, _start = _quotient_walk(alpha)
-    p1, p2 = 0, 1
-    q1, q2 = 1, 0
+    m = (1, 0, 0, 1)
     out = []
-    for k, key in enumerate(states):
-        out.append((key, UnimodularMatrix(p2, p1, q2, q1)))
-        a = letters[k]
-        p1, p2 = p2, a * p2 + p1
-        q1, q2 = q2, a * q2 + q1
+    for key, a in zip(states, letters):
+        out.append((key, UnimodularMatrix(*m)))
+        m = continuant((a,), *m)
     return out
 
 
 def serret_matrix(alpha: QuadraticSurd, omega: QuadraticSurd) -> UnimodularMatrix:
     """A matrix A with det +-1 and mobius(A, omega) = alpha, via the shared tail."""
-    if not serret_equivalent(alpha, omega):
-        raise NotEquivalent(f"{alpha} and {omega} have different tails")
-    omega_index = dict(_quotient_matrices(omega))
-    for key, m_alpha in _quotient_matrices(alpha):
-        m_omega = omega_index.get(key)
-        if m_omega is not None:
-            result = m_alpha @ m_omega.inverse()
-            if result.mobius(omega) != alpha:
-                raise InternalInvariantError(
-                    f"tail composition failed for {alpha}, {omega}"
-                )
-            return result
-    raise InternalInvariantError(
-        f"equivalent surds {alpha}, {omega} share no complete quotient"
-    )
+    if alpha.d == omega.d:
+        omega_index = dict(_quotient_matrices(omega))
+        for key, m_alpha in _quotient_matrices(alpha):
+            m_omega = omega_index.get(key)
+            if m_omega is not None:
+                result = m_alpha @ m_omega.inverse()
+                if result.mobius(omega) != alpha:
+                    raise InternalInvariantError(
+                        f"tail composition failed for {alpha}, {omega}"
+                    )
+                return result
+    # a shared complete quotient exists exactly when the tails coincide
+    raise NotEquivalent(f"{alpha} and {omega} have different tails")

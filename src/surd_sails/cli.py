@@ -7,7 +7,8 @@ Input grammar (ASCII only):
     polynomial roots   root+ 1 -1 -1   (larger root of x^2 - x - 1)
     CF literals        [1; (2)], [4; (2, 1, 3, 1, 2, 8)], [(1, 2)]
 
-Exit codes: 0 success, 1 input error, 2 internal invariant violation.
+Exit codes: 0 success, 1 input error or reached work limit, 2 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -307,11 +307,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_auto(args) -> int:
-    qa, qb, qc = args.a, args.b, args.c
-    if qb % 2 == 0:
-        form = QuadraticForm(qa, qb // 2, qc)
-    else:
-        form = QuadraticForm(2 * qa, qb, 2 * qc)
+    form = QuadraticForm.from_polynomial(args.a, args.b, args.c)
     matrix = lagrange_automorphism(form)
     slopes = fixed_line_surds(matrix)
     preserved = form.transformed(matrix) == form
@@ -366,32 +362,23 @@ def _cmd_sail(args) -> int:
     return 0
 
 
-def _survey_rows(max_disc: int, workers: int) -> list[dict]:
-    surds = list(iter_reduced_surds(max_disc))
-
-    def row(item):
-        disc, alpha = item
+def _survey_rows(max_disc: int) -> list[dict]:
+    rows = []
+    for disc, alpha in iter_reduced_surds(max_disc):
         result = classify(alpha)
-        return {
+        rows.append({
             "discriminant": disc,
             "surd": str(alpha),
             "period": list(result.cf.period),
             "flags": sorted(result.flags),
             "centers": [c.to_json() for c in result.centers],
-        }
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, surds))
-    else:
-        rows = [row(item) for item in surds]
+        })
     rows.sort(key=lambda r: (r["discriminant"], r["surd"]))
     return rows
 
 
 def _cmd_survey(args) -> int:
-    workers = int(os.environ.get("SURD_SAILS_THREADS", "1") or "1")
-    rows = _survey_rows(args.dmax, max(workers, 1))
+    rows = _survey_rows(args.dmax)
     frequencies: dict[str, int] = {}
     for r in rows:
         key = "".join(r["flags"]) or "-"

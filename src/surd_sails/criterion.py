@@ -10,9 +10,9 @@ trace/norm conditions holds for some equivalent surd omega:
 
 Each flag is certified constructively: the period word is rotated so the
 center sits at letter 0, a seed edge specific to the case is extended by
-the vertex recurrence over two periods, and omega is the expanding fixed
-slope of the resulting period map.  An involution exchanging the two cone
-lines is attached as the certificate.
+the continuant recurrence over two periods, and omega is the expanding
+fixed slope of the resulting period map.  An involution exchanging the two
+cone lines is attached as the certificate.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from math import gcd, isqrt
 from typing import Iterator, Mapping
 
 from .arith import QuadraticSurd, UnimodularMatrix, sqrt_of
-from .cfrac import PeriodicCF, expand, serret_equivalent
+from .cfrac import PeriodicCF, _cycle_keys, _expansion_and_cycle, continuant, expand
 from .errors import (
     IncompatibleCenter,
     InternalInvariantError,
     ShapeViolation,
 )
-from .geometry import LatticePoint, det2, fixed_line_surds
+from .geometry import fixed_line_surds
 from .symmetry import Center, CenterKind, CyclicWord, centers, is_regular_palindrome, shape_decompose
 
 _KIND_FLAGS = {
@@ -38,12 +38,7 @@ _KIND_FLAGS = {
     CenterKind.GAP: ("d",),
 }
 
-_FLAG_KIND = {
-    "a": CenterKind.EVEN_ELEMENT,
-    "b": CenterKind.ODD_ELEMENT,
-    "c": CenterKind.ODD_ELEMENT,
-    "d": CenterKind.GAP,
-}
+_FLAG_KIND = {flag: kind for kind, flags in _KIND_FLAGS.items() for flag in flags}
 
 # involutions exchanging the two cone lines in each case
 _CERTIFICATES = {
@@ -91,40 +86,53 @@ class Classification:
         }
 
 
-def _seed_edge(flag: str, a0: int) -> tuple[LatticePoint, LatticePoint]:
-    """Seed vertices v_{-2}, v_0 putting the symmetry axis through letter 0."""
+def _seed(flag: str, a0: int) -> tuple[int, int, int, int]:
+    """Seed matrix with columns (v_{-1} | v_{-2}) putting the symmetry axis through letter 0.
+
+    The case's seed edge is [v_{-2}, v_0] with v_0 = v_{-2} + a0 * v_{-1}.
+    """
     if flag == "a":
         if a0 % 2:
             raise IncompatibleCenter(f"case (a) needs an even center letter, got {a0}")
-        h = a0 // 2
-        return LatticePoint(1, -h), LatticePoint(1, h)
+        return 0, 1, 1, -(a0 // 2)  # v_{-2} = (1, -a0/2), v_{-1} = (0, 1)
     if flag in ("b", "c"):
         if a0 % 2 == 0:
             raise IncompatibleCenter(f"case ({flag}) needs an odd center letter, got {a0}")
         lo, hi = (1 - a0) // 2, (1 + a0) // 2
         if flag == "b":
-            return LatticePoint(1, lo), LatticePoint(1, hi)
-        return LatticePoint(hi, lo), LatticePoint(lo, hi)
-    return LatticePoint(1, 0), LatticePoint(1, a0)
+            return 0, 1, 1, lo  # v_{-2} = (1, lo), v_{-1} = (0, 1)
+        return -1, hi, 1, lo  # v_{-2} = (hi, lo), v_{-1} = (-1, 1)
+    return 0, 1, 1, 0  # v_{-2} = (1, 0), v_{-1} = (0, 1)
 
 
-def _period_map(word: tuple[int, ...], v_m2: LatticePoint, v_0: LatticePoint) -> UnimodularMatrix:
-    """Matrix sending (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}) along the chain."""
-    t = len(word)
-    a0 = word[0]
-    diff = v_0 - v_m2
-    v_m1 = LatticePoint(diff.x // a0, diff.y // a0)
-    if v_m1.scaled(a0) != diff or abs(det2(v_m2, v_m1)) != 1:
-        raise InternalInvariantError(f"bad seed edge {v_m2}..{v_0} for letter {a0}")
-    prev2, prev1 = v_m2, v_m1
-    cur = v_0
-    for k in range(1, 2 * t):
-        prev2, prev1 = prev1, cur
-        cur = prev2 + prev1.scaled(word[k % t])
-    # columns: M (v_{-2} | v_{-1}) = (v_{2t-2} | v_{2t-1})
-    seed = UnimodularMatrix(v_m2.x, v_m1.x, v_m2.y, v_m1.y)
-    image = UnimodularMatrix(prev1.x, cur.x, prev1.y, cur.y)
-    return image @ seed.inverse()
+def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: frozenset, flag: str,
+             center: Center) -> Witness:
+    """Witness for a flag compatible with the center, given alpha's period and cycle keys."""
+    offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
+    rot = word.rotated(offset)
+    seed = _seed(flag, rot[0])
+    # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S the
+    # seed and K the continuant of two periods, the chain's columns are S K = M S
+    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ UnimodularMatrix(*seed).inverse()
+    omega, _contracting = fixed_line_surds(m)
+
+    trace, norm = omega.trace_norm()
+    expected = {
+        "a": trace == 0,
+        "b": trace == 1,
+        "c": norm == 1,
+        "d": norm == -1,
+    }[flag]
+    if not expected:
+        raise InternalInvariantError(
+            f"witness for ({flag}) has trace {trace}, norm {norm}: {omega}"
+        )
+    if omega.d != alpha.d or cycle.isdisjoint(_cycle_keys(omega)):
+        raise InternalInvariantError(f"witness {omega} is not equivalent to {alpha}")
+    cert = _CERTIFICATES[flag]
+    if cert.act_on_slope(omega) != omega.conjugate():
+        raise InternalInvariantError(f"certificate for ({flag}) does not exchange the cone lines")
+    return Witness(omega, cert, m)
 
 
 def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
@@ -141,35 +149,13 @@ def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
         raise ValueError(f"unknown flag {flag!r}")
     if _FLAG_KIND[flag] is not center.kind:
         raise IncompatibleCenter(f"flag {flag!r} is incompatible with {center.kind.value} center")
-    word = CyclicWord(expand(alpha).period)
-    offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
-    rot = word.rotated(offset)
-    v_m2, v_0 = _seed_edge(flag, rot[0])
-    m = _period_map(rot, v_m2, v_0)
-    omega, _contracting = fixed_line_surds(m)
-
-    trace, norm = omega.trace_norm()
-    expected = {
-        "a": trace == 0,
-        "b": trace == 1,
-        "c": norm == 1,
-        "d": norm == -1,
-    }[flag]
-    if not expected:
-        raise InternalInvariantError(
-            f"witness for ({flag}) has trace {trace}, norm {norm}: {omega}"
-        )
-    if not serret_equivalent(alpha, omega):
-        raise InternalInvariantError(f"witness {omega} is not equivalent to {alpha}")
-    cert = _CERTIFICATES[flag]
-    if cert.act_on_slope(omega) != omega.conjugate():
-        raise InternalInvariantError(f"certificate for ({flag}) does not exchange the cone lines")
-    return Witness(omega, cert, m)
+    cf, cycle = _expansion_and_cycle(alpha)
+    return _witness(alpha, CyclicWord(cf.period), cycle, flag, center)
 
 
 def classify(alpha: QuadraticSurd) -> Classification:
     """Centers, criterion flags, and witnesses of a surd's period word."""
-    cf = expand(alpha)
+    cf, cycle = _expansion_and_cycle(alpha)
     word = CyclicWord(cf.period)
     axis_list = tuple(centers(word))
     flags: set[str] = set()
@@ -178,7 +164,7 @@ def classify(alpha: QuadraticSurd) -> Classification:
         for flag in _KIND_FLAGS[center.kind]:
             if flag not in witnesses:  # first center of each kind decides
                 flags.add(flag)
-                witnesses[flag] = witness(alpha, flag, center)
+                witnesses[flag] = _witness(alpha, word, cycle, flag, center)
     return Classification(alpha, cf, axis_list, frozenset(flags), witnesses)
 
 

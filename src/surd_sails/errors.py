@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-Domain errors (bad inputs, violated preconditions) derive from SurdSailsError
-and map to CLI exit code 1.  InternalInvariantError marks conditions the
-underlying theorems forbid; if one fires there is a bug, and the CLI exits 2.
+Domain errors (bad inputs, violated preconditions, reached work limits)
+derive from SurdSailsError and map to CLI exit code 1.  InternalInvariantError
+marks conditions the underlying theorems forbid; if one fires there is a bug,
+and the CLI exits 2.
 """
 
 
@@ -72,6 +73,10 @@ class PreconditionViolated(SurdSailsError):
 
 class IncompatibleCenter(SurdSailsError):
     """Center kind does not match the requested criterion case."""
+
+
+class ResourceLimit(SurdSailsError):
+    """A computation reached a work limit; the message names the limit."""
 
 
 class ParseError(SurdSailsError):

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import QuadraticSurd, UnimodularMatrix
-from .cfrac import complete_quotient_cycle, convergents, expand
+from .cfrac import _quotient_walk, continuant, convergents, expand
 from .errors import (
     BadSeed,
     DegenerateAngle,
@@ -184,10 +184,10 @@ def _chain(
 ) -> dict[int, LatticePoint]:
     """Vertices v_k over [k_min, k_max] from v_{-2}, v_{-1} and letters a_k."""
     v = {-2: seeds[0], -1: seeds[1]}
-    k = 0
-    while k <= k_max:
-        v[k] = v[k - 2] + v[k - 1].scaled(letter_at(k))
-        k += 1
+    m = (seeds[1][0], seeds[0][0], seeds[1][1], seeds[0][1])  # columns (v_{k-1} | v_{k-2})
+    for k in range(k_max + 1):
+        m = continuant((letter_at(k),), *m)
+        v[k] = LatticePoint(m[0], m[2])
     k = -1
     while k - 2 >= k_min:
         v[k - 2] = v[k] - v[k - 1].scaled(letter_at(k))
@@ -227,8 +227,9 @@ def sail_from_surd(
     k_min, k_max = k_range
     if k_min > k_max:
         raise ValueError("empty index window")
-    omega = alpha if alpha.is_reduced() else complete_quotient_cycle(alpha)[0]
-    word = expand(omega).period
+    letters, states, start = _quotient_walk(alpha)
+    omega = QuadraticSurd._make(*states[start], alpha.d)
+    word = tuple(letters[start:])
     t = len(word)
 
     def letter_at(k: int) -> int:
@@ -337,12 +338,16 @@ class QuadraticForm:
         return self.b * self.b - self.a * self.c
 
     @classmethod
-    def from_surd(cls, alpha: QuadraticSurd) -> "QuadraticForm":
-        """Form of the minimal polynomial, doubled when the middle term is odd."""
-        qa, qb, qc = alpha.minimal_polynomial()
+    def from_polynomial(cls, qa: int, qb: int, qc: int) -> "QuadraticForm":
+        """Form of qa*t^2 + qb*t + qc, doubled when the middle term is odd."""
         if qb % 2 == 0:
             return cls(qa, qb // 2, qc)
         return cls(2 * qa, qb, 2 * qc)
+
+    @classmethod
+    def from_surd(cls, alpha: QuadraticSurd) -> "QuadraticForm":
+        """Form of the minimal polynomial."""
+        return cls.from_polynomial(*alpha.minimal_polynomial())
 
     def value(self, x: int, y: int) -> int:
         return self.c * x * x + 2 * self.b * x * y + self.a * y * y

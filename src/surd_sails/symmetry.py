@@ -32,6 +32,15 @@ class Center:
         return {"kind": self.kind.value, "pos": self.position}
 
 
+def smallest_period(word: tuple[int, ...]) -> int:
+    """Length of the shortest word whose power is `word`."""
+    t = len(word)
+    for p in range(1, t):
+        if t % p == 0 and all(word[i] == word[(i + p) % t] for i in range(t)):
+            return p
+    return t
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """Primitive word of positive integers, read up to rotation."""
@@ -44,10 +53,8 @@ class CyclicWord:
             raise InvalidPeriod("cyclic word must be nonempty")
         if any(x < 1 for x in letters):
             raise InvalidPeriod(f"letters must be >= 1: {letters}")
-        t = len(letters)
-        for p in range(1, t):
-            if t % p == 0 and all(letters[i] == letters[(i + p) % t] for i in range(t)):
-                raise InvalidPeriod(f"{letters} is a power of a shorter word")
+        if smallest_period(letters) != len(letters):
+            raise InvalidPeriod(f"{letters} is a power of a shorter word")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self):

@@ -1,8 +1,8 @@
 import json
-import os
 
 import pytest
 
+from surd_sails import cfrac
 from surd_sails.arith import QuadraticSurd
 from surd_sails.cfrac import PeriodicCF, value
 from surd_sails.cli import main, parse_cf, parse_surd, parse_surd_spec
@@ -129,22 +129,6 @@ class TestCommands:
         assert lines[0] == "discriminant,surd,period,flags"
         assert len(lines) == len(payload["rows"]) + 1
 
-    def test_survey_threaded_matches_serial(self, capsys, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        old = os.environ.get("SURD_SAILS_THREADS")
-        try:
-            os.environ["SURD_SAILS_THREADS"] = "1"
-            assert main(["survey", "--dmax", "60", "--json", str(a)]) == 0
-            os.environ["SURD_SAILS_THREADS"] = "4"
-            assert main(["survey", "--dmax", "60", "--json", str(b)]) == 0
-        finally:
-            if old is None:
-                os.environ.pop("SURD_SAILS_THREADS", None)
-            else:
-                os.environ["SURD_SAILS_THREADS"] = old
-        capsys.readouterr()
-        assert a.read_text() == b.read_text()
-
 
 class TestExitCodes:
     def test_parse_error(self, capsys):
@@ -154,6 +138,14 @@ class TestExitCodes:
     def test_domain_error(self, capsys):
         assert main(["expand", "sqrt(4)"]) == 1
         assert "RationalValue" in capsys.readouterr().err
+
+    def test_walk_limit_is_a_domain_error(self, capsys, monkeypatch):
+        # sqrt(19) = [4; (2, 1, 3, 1, 2, 8)] needs seven steps to close its cycle
+        monkeypatch.setattr(cfrac, "_ITERATION_CAP", 5)
+        assert main(["expand", "sqrt(19)"]) == 1
+        err = capsys.readouterr().err
+        assert "ResourceLimit" in err
+        assert "limit of 5 steps" in err
 
     def test_usage_error(self, capsys):
         assert main(["survey"]) == 1  # missing --dmax

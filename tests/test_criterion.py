@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from surd_sails import cfrac
 from surd_sails.arith import QuadraticSurd, UnimodularMatrix, sqrt_of
 from surd_sails.cfrac import PeriodicCF, expand, serret_equivalent, value
 from surd_sails.criterion import (
+    _FLAG_KIND,
     classify,
     iter_reduced_surds,
     shape_oracle,
@@ -78,6 +80,39 @@ class TestClassify:
         assert {c["kind"] for c in back["centers"]} == {"odd", "gap"}
         assert back["witnesses"]["b"]["trace"] == "1"
         assert back["witnesses"]["d"]["norm"] == "-1"
+
+
+    def test_witnesses_match_public_witness(self):
+        for _disc, alpha in iter_reduced_surds(200):
+            result = classify(alpha)
+            for flag, w in result.witnesses.items():
+                kind = _FLAG_KIND[flag]
+                first = next(c for c in result.centers if c.kind is kind)
+                assert w == witness(alpha, flag, first)
+
+    @pytest.mark.parametrize(
+        "alpha, flags",
+        [
+            (value(PeriodicCF((), (4, 1, 2, 1))), {"a"}),
+            (value(PeriodicCF((), (3, 1, 1))), {"b", "c", "d"}),
+            (value(PeriodicCF((), (1, 2, 3))), set()),
+        ],
+    )
+    def test_classify_walks_alpha_once(self, monkeypatch, alpha, flags):
+        walked = []
+        inner = cfrac._quotient_walk
+
+        def counting_walk(x):
+            walked.append(x)
+            return inner(x)
+
+        monkeypatch.setattr(cfrac, "_quotient_walk", counting_walk)
+        result = classify(alpha)
+        assert result.flags == flags
+        # one walk of alpha, then one walk of each witness for its Serret check
+        assert walked[0] == alpha
+        assert len(walked) == 1 + len(result.witnesses)
+        assert alpha not in {w.omega for w in result.witnesses.values()}
 
 
 class TestWitness:
