@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .arith import QuadraticSurd
-from .cfrac import PeriodicCF, convergents, expand, serret_equivalent, serret_matrix, value
+from .cfrac import PeriodicCF, convergents, expand, serret_matrix, value
 from .criterion import classify, iter_reduced_surds
-from .errors import InternalInvariantError, ParseError, SurdSailsError
+from .errors import InternalInvariantError, NotEquivalent, ParseError, SurdSailsError
 from .geometry import QuadraticForm, emit_svg, fixed_line_surds, lagrange_automorphism, sail_from_surd
 
 SurdSpec = Union[QuadraticSurd, PeriodicCF]
@@ -294,15 +294,16 @@ def _cmd_convergents(args) -> int:
 def _cmd_equiv(args) -> int:
     alpha = parse_surd(args.first)
     omega = parse_surd(args.second)
-    if serret_equivalent(alpha, omega):
+    try:
         matrix = serret_matrix(alpha, omega)
-        _emit(
-            {"equivalent": True, "certificate": [list(r) for r in matrix.rows()]},
-            args.json,
-            ["equivalent: true", f"certificate: {matrix}"],
-        )
-    else:
+    except NotEquivalent:
         _emit({"equivalent": False}, args.json, ["equivalent: false"])
+        return 0
+    _emit(
+        {"equivalent": True, "certificate": [list(r) for r in matrix.rows()]},
+        args.json,
+        ["equivalent: true", f"certificate: {matrix}"],
+    )
     return 0
 
 
@@ -479,6 +480,10 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # results are exact and may exceed CPython's default 4,300-digit int-to-str
+    # limit; inputs stay bounded by the OS limit on argument length
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,7 @@ from math import gcd, isqrt
 from typing import Iterator, Mapping
 
 from .arith import QuadraticSurd, UnimodularMatrix, sqrt_of
-from .cfrac import PeriodicCF, _cycle_keys, _expansion_and_cycle, continuant, expand
+from .cfrac import PeriodicCF, _expansion_and_cycle, continuant, expand
 from .errors import (
     IncompatibleCenter,
     InternalInvariantError,
@@ -47,6 +47,8 @@ _CERTIFICATES = {
     "c": UnimodularMatrix(0, 1, 1, 0),
     "d": UnimodularMatrix(0, -1, 1, 0),
 }
+
+_SWAP = UnimodularMatrix(0, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,10 @@ def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: frozenset, flag: str
     offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
     rot = word.rotated(offset)
     seed = _seed(flag, rot[0])
+    seed_inverse = UnimodularMatrix(*seed).inverse()
     # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S the
     # seed and K the continuant of two periods, the chain's columns are S K = M S
-    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ UnimodularMatrix(*seed).inverse()
+    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ seed_inverse
     omega, _contracting = fixed_line_surds(m)
 
     trace, norm = omega.trace_norm()
@@ -127,7 +130,10 @@ def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: frozenset, flag: str
         raise InternalInvariantError(
             f"witness for ({flag}) has trace {trace}, norm {norm}: {omega}"
         )
-    if omega.d != alpha.d or cycle.isdisjoint(_cycle_keys(omega)):
+    # (1, omega) = S u with u an eigenvector of K, so u's slope x = S^-1 J (omega)
+    # is the purely periodic surd of rot: a unimodular image of omega in alpha's cycle
+    x = (seed_inverse @ _SWAP).mobius(omega)
+    if x.d != alpha.d or (x.a, x.b, x.c) not in cycle:
         raise InternalInvariantError(f"witness {omega} is not equivalent to {alpha}")
     cert = _CERTIFICATES[flag]
     if cert.act_on_slope(omega) != omega.conjugate():

@@ -93,7 +93,3 @@ class InternalInvariantError(Exception):
 
 class ShapeViolation(InternalInvariantError):
     """sqrt expansion did not have the palindrome-plus-double shape."""
-
-
-class NonConvergence(InternalInvariantError):
-    """Form substitution cycle failed to close within its state bound."""

@@ -20,7 +20,6 @@ from .errors import (
     DegenerateAngle,
     DegenerateSegment,
     InternalInvariantError,
-    NonConvergence,
     NotAdjacent,
     NotHyperbolic,
     NotUnimodularArms,
@@ -377,40 +376,22 @@ def isqrt_exact(n: int) -> Optional[int]:
 def lagrange_automorphism(form: QuadraticForm) -> UnimodularMatrix:
     """Nontrivial automorph of an indefinite form with a*c < 0.
 
-    Iterates the substitutions (x, y) -> (x, x+y) or (x, y) -> (x+y, y),
-    choosing by the sign of f(1, 1) against f(0, 1) = a and f(1, 0) = c;
-    exactly one applies at each step, and the coefficient triple must recur
-    since the discriminant bounds the state space.  The accumulated matrix
-    has determinant 1, nonnegative entries, preserves the form, and fixes
-    the lines spanned by (1, root) for both roots of a*t^2 + 2b*t + c.
+    The larger root of a*t^2 + 2b*t + c expands as C(pre) applied to the
+    purely periodic tail, and the continuant K of the period (taken twice
+    when its length is odd, so that det K = 1) fixes that tail; hence
+    N = C(pre) K C(pre)^-1 fixes the root as a Moebius map.  The automorph
+    is N read as an action on slopes.  It has determinant 1, nonnegative
+    entries, preserves the form, and fixes the lines spanned by (1, root)
+    for both roots.  Its cost is one expansion of the root, so the walk
+    limit bounds it.
     """
-    a, b, c = form.a, form.b, form.c
-    if a * c >= 0:
-        raise PreconditionViolated(f"need a*c < 0, got a = {a}, c = {c}")
-    start = (a, b, c)
-    disc = form.discriminant
-    cap = 16 * (isqrt(disc) + 1) * (disc + 1)  # crude bound on distinct triples
-    p, q, r, s = 1, 0, 0, 1
-    steps = 0
-    while True:
-        f11 = a + 2 * b + c
-        if f11 * a < 0:
-            # (x, y) -> (x, x + y)
-            a, b, c = a, a + b, a + 2 * b + c
-            p, q, r, s = p + q, q, r + s, s
-        elif f11 * c < 0:
-            # (x, y) -> (x + y, y)
-            a, b, c = a + 2 * b + c, b + c, c
-            p, q, r, s = p, p + q, r, r + s
-        else:
-            raise NonConvergence(f"no substitution applies at {(a, b, c)}")
-        steps += 1
-        if (a, b, c) == start:
-            return UnimodularMatrix(p, q, r, s)
-        if steps > cap:
-            raise NonConvergence(
-                f"triple {start} did not recur within {cap} substitutions"
-            )
+    if form.a * form.c >= 0:
+        raise PreconditionViolated(f"need a*c < 0, got a = {form.a}, c = {form.c}")
+    cf = expand(form.roots()[0])
+    word = cf.period if len(cf.period) % 2 == 0 else cf.period * 2
+    head = UnimodularMatrix(*continuant(cf.preperiod))
+    n = head @ UnimodularMatrix(*continuant(word)) @ head.inverse()
+    return UnimodularMatrix(n.s, n.r, n.q, n.p)
 
 
 def fixed_line_surds(m: UnimodularMatrix) -> tuple[QuadraticSurd, QuadraticSurd]:

@@ -75,36 +75,44 @@ def is_regular_palindrome(word: Sequence[int]) -> bool:
     return w == w[::-1]
 
 
-def is_cyclic_palindrome(word: CyclicWord | Sequence[int]) -> bool:
-    """True iff some rotation equals the reversal.
+def _reflection(letters: tuple[int, ...]) -> Optional[int]:
+    """The least r whose rotation letters[r:] + letters[:r] equals the reversal.
 
-    Implemented by searching the reversed word inside the doubled word.
+    That rotation maps letter j to letter r - 1 - j (mod t).  A primitive
+    word has at most one such r: two reflections would compose to a
+    nontrivial rotation fixing the word.
     """
-    letters = word.letters if isinstance(word, CyclicWord) else tuple(word)
     t = len(letters)
     doubled = letters + letters
     rev = letters[::-1]
-    return any(doubled[i : i + t] == rev for i in range(t))
+    return next((r for r in range(t) if doubled[r] == rev[0] and doubled[r : r + t] == rev), None)
+
+
+def is_cyclic_palindrome(word: CyclicWord | Sequence[int]) -> bool:
+    """True iff some rotation equals the reversal."""
+    letters = word.letters if isinstance(word, CyclicWord) else tuple(word)
+    return _reflection(letters) is not None
 
 
 def centers(word: CyclicWord) -> list[Center]:
     """All reflection axes of the bi-infinite periodic extension.
 
-    There are 2t candidates: one through each letter, one through each gap.
-    The result is empty exactly when the word is not a cyclic palindrome.
+    The word's one reflection j <-> r - 1 - j passes through the letters i
+    with 2i = r - 1 and the gaps i (between i and i + 1) with 2i + 1 = r - 1
+    (mod t); letter centers are listed first.  The result is empty exactly
+    when the word is not a cyclic palindrome.
     """
     w = word.letters
+    r = _reflection(w)
+    if r is None:
+        return []
     t = len(w)
-    found: list[Center] = []
-    for i in range(t):
-        # reflection through the letter at i: j <-> 2i - j
-        if all(w[j] == w[(2 * i - j) % t] for j in range(t)):
-            kind = CenterKind.EVEN_ELEMENT if w[i] % 2 == 0 else CenterKind.ODD_ELEMENT
-            found.append(Center(kind, i))
-    for i in range(t):
-        # reflection through the gap between i and i+1: j <-> 2i + 1 - j
-        if all(w[j] == w[(2 * i + 1 - j) % t] for j in range(t)):
-            found.append(Center(CenterKind.GAP, i))
+    found = [
+        Center(CenterKind.EVEN_ELEMENT if w[i] % 2 == 0 else CenterKind.ODD_ELEMENT, i)
+        for i in range(t)
+        if (2 * i + 1 - r) % t == 0
+    ]
+    found += [Center(CenterKind.GAP, i) for i in range(t) if (2 * i + 2 - r) % t == 0]
     return found
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -146,6 +147,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ResourceLimit" in err
         assert "limit of 5 steps" in err
+
+    def test_auto_walk_limit(self, capsys, monkeypatch):
+        # the automorph of x^2 - 19 comes from the expansion of sqrt(19)
+        monkeypatch.setattr(cfrac, "_ITERATION_CAP", 5)
+        assert main(["auto", "1", "0", "-19"]) == 1
+        err = capsys.readouterr().err
+        assert "ResourceLimit" in err
+        assert "limit of 5 steps" in err
+
+    def test_integers_beyond_4300_digits(self, capsys):
+        assert main(["auto", "1", "0", "-100000000001"]) == 0
+        out = capsys.readouterr().out
+        assert "form preserved: true" in out
+        assert max(len(n) for n in re.findall(r"\d+", out)) > 4300
 
     def test_usage_error(self, capsys):
         assert main(["survey"]) == 1  # missing --dmax

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -346,6 +347,46 @@ class TestQuadraticForm:
         assert plus == SQRT2 and minus == -SQRT2
 
 
+def substitution_automorph(form):
+    """Reference automorph: Lagrange's unary substitution loop on the form.
+
+    Applies (x, y) -> (x, x + y) or (x, y) -> (x + y, y), whichever keeps
+    the signs of f(0, 1) = a and f(1, 0) = c apart, until the coefficient
+    triple recurs; one substitution per unit of each partial quotient.
+    """
+    a, b, c = form.a, form.b, form.c
+    start = (a, b, c)
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        f11 = a + 2 * b + c
+        if f11 * a < 0:
+            a, b, c = a, a + b, f11
+            p, q, r, s = p + q, q, r + s, s
+        else:
+            assert f11 * c < 0, f"no substitution applies at {(a, b, c)}"
+            a, b, c = f11, b + c, c
+            p, q, r, s = p, p + q, r, r + s
+        if (a, b, c) == start:
+            return UnimodularMatrix(p, q, r, s)
+
+
+def random_indefinite_forms(rng, count, coeff=40, middle=50, max_disc=10_000):
+    """Forms with a*c < 0 and non-square discriminant, as in acceptance criterion 7."""
+    done = 0
+    while done < count:
+        a = rng.randint(1, coeff) * rng.choice([1, -1])
+        c = -rng.randint(1, coeff) * (1 if a > 0 else -1)
+        b = rng.randint(-middle, middle)
+        if b * b - a * c > max_disc:
+            continue
+        try:
+            form = QuadraticForm(a, b, c)
+        except ValueError:
+            continue
+        done += 1
+        yield form
+
+
 class TestLagrangeAutomorphism:
     def test_sqrt2(self):
         form = QuadraticForm(1, 0, -2)
@@ -370,6 +411,10 @@ class TestLagrangeAutomorphism:
     def test_precondition(self):
         with pytest.raises(PreconditionViolated):
             lagrange_automorphism(QuadraticForm(1, 4, 2))
+
+    def test_matches_substitution_loop(self):
+        for form in random_indefinite_forms(random.Random(73_2026), 500):
+            assert lagrange_automorphism(form) == substitution_automorph(form), form
 
     def test_random_forms(self, rng):
         done = 0

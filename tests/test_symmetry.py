@@ -31,6 +31,21 @@ def brute_cyclic_palindrome(letters):
     return any(letters[i:] + letters[:i] == rev for i in range(t))
 
 
+def scan_centers(word):
+    """Reference axes: test every letter and every gap as a reflection center."""
+    w = word.letters
+    t = len(w)
+    found = []
+    for i in range(t):
+        if all(w[j] == w[(2 * i - j) % t] for j in range(t)):
+            kind = CenterKind.EVEN_ELEMENT if w[i] % 2 == 0 else CenterKind.ODD_ELEMENT
+            found.append(Center(kind, i))
+    for i in range(t):
+        if all(w[j] == w[(2 * i + 1 - j) % t] for j in range(t)):
+            found.append(Center(CenterKind.GAP, i))
+    return found
+
+
 class TestCyclicWord:
     def test_rejects_imprimitive(self):
         with pytest.raises(InvalidPeriod):
@@ -101,6 +116,10 @@ class TestCenters:
             axes = centers(word)
             if axes:
                 assert len(axes) == 2
+
+    def test_matches_center_scan(self):
+        for word in primitive_words(8, (1, 2, 3)):
+            assert centers(word) == scan_centers(word), word.letters
 
     def test_reversal_mirror(self):
         for word in primitive_words(6, (1, 2, 3)):
