@@ -421,16 +421,16 @@ class UnimodularMatrix:
 
     def mobius(self, x: QuadraticSurd) -> QuadraticSurd:
         """Fractional-linear action (p*x + q) / (r*x + s)."""
-        num = x * self.p + self.q if self.p else Fraction(self.q)
-        den = x * self.r + self.s if self.r else Fraction(self.s)
-        # at most one of p, r is zero, so the quotient is always a surd
-        return num / den  # type: ignore[operator, return-value]
+        # (u + v sqrt d)/(w + z sqrt d), times the conjugate of the denominator;
+        # the sqrt coefficient v*w - u*z collapses to det*b*c, never zero
+        p, r, a, b, c, d = self.p, self.r, x.a, x.b, x.c, x.d
+        u, v, w, z = p * a + self.q * c, p * b, r * a + self.s * c, r * b
+        num, den = u * w - v * z * d, w * w - z * z * d
+        return QuadraticSurd._reduce(num, self.det * b * c, den, d)  # type: ignore[return-value]
 
     def act_on_slope(self, slope: QuadraticSurd) -> QuadraticSurd:
         """Slope of the image of the line through (1, slope): (r + s*t)/(p + q*t)."""
-        num = slope * self.s + self.r if self.s else Fraction(self.r)
-        den = slope * self.q + self.p if self.q else Fraction(self.p)
-        return num / den  # type: ignore[return-value]
+        return UnimodularMatrix(self.s, self.r, self.q, self.p).mobius(slope)
 
     def __eq__(self, other):
         if isinstance(other, UnimodularMatrix):

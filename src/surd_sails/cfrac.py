@@ -197,21 +197,21 @@ def _quotient_walk(alpha: QuadraticSurd):
 
 def expand(alpha: QuadraticSurd) -> PeriodicCF:
     """Continued-fraction expansion with exact minimal period detection."""
-    letters, _states, start = _quotient_walk(alpha)
-    return PeriodicCF.normalized(letters[:start], letters[start:])
+    return _expansion_and_cycle(alpha)[0]
 
 
-def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, frozenset[tuple[int, int, int]]]:
-    """The expansion of alpha and the state keys of its cycle, from one walk."""
+def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, list[tuple[int, int, int]]]:
+    """The expansion of alpha and the state keys of its cycle in period order, from one walk."""
     letters, states, start = _quotient_walk(alpha)
-    return PeriodicCF.normalized(letters[:start], letters[start:]), frozenset(states[start:])
+    # The first repeated state makes the period primitive.  Equal last letters of
+    # the preperiod and the period would make the state one step earlier repeat.
+    return PeriodicCF._make(tuple(letters[:start]), tuple(letters[start:])), states[start:]
 
 
 def complete_quotient_cycle(alpha: QuadraticSurd) -> list[QuadraticSurd]:
     """The cyclically ordered reduced complete quotients of the expansion."""
-    _letters, states, start = _quotient_walk(alpha)
     d = alpha.d
-    return [QuadraticSurd._make(a, b, c, d) for (a, b, c) in states[start:]]
+    return [QuadraticSurd._make(a, b, c, d) for (a, b, c) in _expansion_and_cycle(alpha)[1]]
 
 
 def value(cf: PeriodicCF) -> QuadraticSurd:
@@ -277,11 +277,6 @@ def galois_reverse(alpha: QuadraticSurd) -> tuple[PeriodicCF, PeriodicCF]:
     return forward, mirror
 
 
-def _cycle_keys(alpha: QuadraticSurd) -> frozenset[tuple[int, int, int]]:
-    _letters, states, start = _quotient_walk(alpha)
-    return frozenset(states[start:])
-
-
 def serret_equivalent(alpha: QuadraticSurd, omega: QuadraticSurd) -> bool:
     """True iff the continued-fraction tails of the two surds coincide.
 
@@ -290,7 +285,7 @@ def serret_equivalent(alpha: QuadraticSurd, omega: QuadraticSurd) -> bool:
     """
     if alpha.d != omega.d:
         return False
-    return bool(_cycle_keys(alpha) & _cycle_keys(omega))
+    return not set(_expansion_and_cycle(alpha)[1]).isdisjoint(_expansion_and_cycle(omega)[1])
 
 
 def _quotient_matrices(alpha: QuadraticSurd):

@@ -8,11 +8,14 @@ trace/norm conditions holds for some equivalent surd omega:
     (c)  omega * conjugate = 1        (odd center; equivalent to (b))
     (d)  omega * conjugate = -1       (gap center)
 
-Each flag is certified constructively: the period word is rotated so the
-center sits at letter 0, a seed edge specific to the case is extended by
-the continuant recurrence over two periods, and omega is the expanding
-fixed slope of the resulting period map.  An involution exchanging the two
-cone lines is attached as the certificate.
+Each flag is certified constructively.  The period word is rotated so the
+center sits at letter 0, and a seed S specific to the case is extended over
+two periods into the period map S K S^-1.  omega = (J S)(x), J the swap, is
+one integer Moebius image of the complete quotient x of alpha that starts at
+the center, so it is equivalent to alpha by construction; the case's equation
+and omega's being a fixed slope of the period map are checked as integer
+identities.  An involution exchanging the two cone lines, which it does
+exactly when the case's equation holds, is attached as the certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
     InternalInvariantError,
     ShapeViolation,
 )
-from .geometry import fixed_line_surds
 from .symmetry import Center, CenterKind, CyclicWord, centers, is_regular_palindrome, shape_decompose
 
 _KIND_FLAGS = {
@@ -107,38 +109,36 @@ def _seed(flag: str, a0: int) -> tuple[int, int, int, int]:
     return 0, 1, 1, 0  # v_{-2} = (1, 0), v_{-1} = (0, 1)
 
 
-def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: frozenset, flag: str,
+def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int, int]], flag: str,
              center: Center) -> Witness:
-    """Witness for a flag compatible with the center, given alpha's period and cycle keys."""
+    """Witness for a flag compatible with the center, from alpha's period and cycle states.
+
+    The cycle state x at the center's offset is the purely periodic surd of the
+    rotated word, so (x, 1) is the expanding eigenvector of its continuant K and
+    omega, the slope of S (x, 1), is (J S)(x).  omega is equivalent to alpha by
+    construction: x is a complete quotient of alpha and J S is unimodular.
+    """
     offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
     rot = word.rotated(offset)
     seed = _seed(flag, rot[0])
-    seed_inverse = UnimodularMatrix(*seed).inverse()
+    seed_matrix = UnimodularMatrix(*seed)
     # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S the
     # seed and K the continuant of two periods, the chain's columns are S K = M S
-    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ seed_inverse
-    omega, _contracting = fixed_line_surds(m)
-
-    trace, norm = omega.trace_norm()
-    expected = {
-        "a": trace == 0,
-        "b": trace == 1,
-        "c": norm == 1,
-        "d": norm == -1,
-    }[flag]
-    if not expected:
-        raise InternalInvariantError(
-            f"witness for ({flag}) has trace {trace}, norm {norm}: {omega}"
-        )
-    # (1, omega) = S u with u an eigenvector of K, so u's slope x = S^-1 J (omega)
-    # is the purely periodic surd of rot: a unimodular image of omega in alpha's cycle
-    x = (seed_inverse @ _SWAP).mobius(omega)
-    if x.d != alpha.d or (x.a, x.b, x.c) not in cycle:
-        raise InternalInvariantError(f"witness {omega} is not equivalent to {alpha}")
-    cert = _CERTIFICATES[flag]
-    if cert.act_on_slope(omega) != omega.conjugate():
-        raise InternalInvariantError(f"certificate for ({flag}) does not exchange the cone lines")
-    return Witness(omega, cert, m)
+    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ seed_matrix.inverse()
+    x = cycle[offset % len(cycle)]  # a gap center at t - 1 has offset t
+    omega = (_SWAP @ seed_matrix).mobius(QuadraticSurd._make(*x, alpha.d))
+    a, c = omega.a, omega.c
+    n = a * a - omega.b * omega.b * omega.d
+    # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
+    # or -1/omega, so it exchanges omega and its conjugate exactly when this holds
+    case = {"a": a == 0, "b": 2 * a == c, "c": n == c * c, "d": n == -c * c}[flag]
+    # omega is a fixed slope of M: (c^2, -2ac, n) is proportional to (q, p - s, -r);
+    # the first cross product is divided by c > 0
+    fixed = c * (m.p - m.s) == -2 * a * m.q and -c * c * m.r == n * m.q
+    if not (case and fixed):
+        problem = "is not a fixed slope of its period map" if case else "fails its case equation"
+        raise InternalInvariantError(f"witness ({flag}) {omega!r} of {alpha!r} {problem}")
+    return Witness(omega, _CERTIFICATES[flag], m)
 
 
 def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
@@ -146,10 +146,10 @@ def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
 
     The period word of alpha is rotated so the fixed letter of the center is
     letter 0 (for a gap center, the gap falls just before letter 0); the
-    case's seed edge is extended over two periods; omega is the expanding
-    fixed slope of the resulting period map.  The defining equation, the
-    equivalence with alpha, and the line-exchanging certificate are all
-    verified exactly.
+    case's seed edge S is extended over two periods into the period map;
+    omega is (J S)(x), x the complete quotient of alpha with the rotated
+    period.  The case's equation and omega's being a fixed slope of the
+    period map are verified exactly.
     """
     if flag not in _FLAG_KIND:
         raise ValueError(f"unknown flag {flag!r}")

@@ -221,6 +221,26 @@ class TestMobius:
             s = random_canonical_surd(rng)
             assert m.inverse().mobius(m.mobius(s)) == s
 
+    def test_matches_surd_arithmetic(self, rng):
+        def surd_mobius(m, x):
+            # the action as field arithmetic on surds, zero entries as rationals
+            num = x * m.p + m.q if m.p else Fraction(m.q)
+            den = x * m.r + m.s if m.r else Fraction(m.s)
+            return num / den
+
+        checked = zeros = 0
+        while checked < 2000:
+            p, q, r, s = (rng.randint(-6, 6) for _ in range(4))
+            if p * s - q * r not in (1, -1):
+                continue
+            m = UnimodularMatrix(p, q, r, s)
+            x = random_canonical_surd(rng, d_max=60)
+            assert m.mobius(x) == surd_mobius(m, x), (m, x)
+            assert m.act_on_slope(x) == surd_mobius(UnimodularMatrix(s, r, q, p), x), (m, x)
+            checked += 1
+            zeros += 0 in (p, q, r, s)
+        assert zeros > 200
+
 
 class TestReduced:
     def test_examples(self):

@@ -88,6 +88,20 @@ class TestExpand:
                         alpha = QuadraticSurd(a, b, c, d)
                         assert value(expand(alpha)) == alpha
 
+    def test_walk_output_passes_validation(self):
+        # expand builds without normalizing: the validating constructor must
+        # accept its preperiod and period as they come
+        surds = [sqrt_of(1000007)]
+        for d in (2, 3, 5, 19, 31):
+            for c in range(1, 7):
+                for b in (-2, -1, 1, 3):
+                    for a in range(-6, 7):
+                        if gcd(a, b, c) == 1:
+                            surds.append(QuadraticSurd(a, b, c, d))
+        for alpha in surds:
+            cf = expand(alpha)
+            assert PeriodicCF(cf.preperiod, cf.period) == cf, alpha
+
     def test_period_primitive_brute_force(self, rng):
         for _ in range(300):
             alpha = random_canonical_surd(rng)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from surd_sails import cfrac
+from surd_sails import cfrac, criterion
 from surd_sails.arith import QuadraticSurd, UnimodularMatrix, sqrt_of
 from surd_sails.cfrac import PeriodicCF, expand, serret_equivalent, value
 from surd_sails.criterion import (
+    _CERTIFICATES,
     _FLAG_KIND,
     classify,
     iter_reduced_surds,
@@ -15,8 +16,11 @@ from surd_sails.criterion import (
     unit_period_check,
     witness,
 )
-from surd_sails.errors import IncompatibleCenter, RationalValue
+from surd_sails.errors import IncompatibleCenter, InternalInvariantError, RationalValue
+from surd_sails.geometry import fixed_line_surds
 from surd_sails.symmetry import Center, CenterKind, CyclicWord, is_cyclic_palindrome
+
+from conftest import random_canonical_surd
 
 PHI = QuadraticSurd(1, 1, 2, 5)
 SQRT2 = sqrt_of(2)
@@ -145,6 +149,48 @@ class TestWitness:
         # sqrt(3) has period (1, 2): the even center sits at position 1
         w = witness(SQRT3, "a", Center(CenterKind.EVEN_ELEMENT, 1))
         assert w.omega == SQRT3
+
+    def test_omega_is_expanding_fixed_slope(self):
+        # reference: the expanding root of the period map's fixed-slope quadratic
+        surds = [alpha for _disc, alpha in iter_reduced_surds(300)] + [sqrt_of(1000007)]
+        for alpha in surds:
+            for flag, w in classify(alpha).witnesses.items():
+                assert w.omega == fixed_line_surds(w.period_map)[0], (alpha, flag)
+
+    def test_certificate_iff_case_equation(self, rng):
+        omegas = [random_canonical_surd(rng) for _ in range(400)]
+        omegas += [w.omega for _disc, alpha in iter_reduced_surds(100)
+                   for w in classify(alpha).witnesses.values()]
+        exchanges = dict.fromkeys(_CERTIFICATES, 0)
+        for omega in omegas:
+            a, b, c, d = omega.key()
+            n = a * a - b * b * d
+            case = {"a": a == 0, "b": 2 * a == c, "c": n == c * c, "d": n == -c * c}
+            for flag, cert in _CERTIFICATES.items():
+                exchanged = cert.act_on_slope(omega) == omega.conjugate()
+                assert exchanged == case[flag], (omega, flag)
+                exchanges[flag] += exchanged
+        assert min(exchanges.values()) > 0
+
+    @pytest.mark.parametrize("alpha", [SQRT3, PHI, sqrt_of(19), sqrt_of(94), sqrt_of(1000007)])
+    def test_shifted_seed_is_caught(self, monkeypatch, alpha):
+        seed = criterion._seed
+
+        def shifted(flag, a0):
+            p, q, r, s = seed(flag, a0)
+            return p, q + p, r, s + r  # S [[1, 1], [0, 1]], still unimodular
+
+        monkeypatch.setattr(criterion, "_seed", shifted)
+        with pytest.raises(InternalInvariantError, match="case equation") as caught:
+            classify(alpha)
+        assert repr(alpha) in str(caught.value)
+
+    def test_wrong_period_map_is_caught(self, monkeypatch):
+        inner = criterion.continuant
+        monkeypatch.setattr(criterion, "continuant",
+                            lambda letters, *seed: inner(letters + (1,), *seed))
+        with pytest.raises(InternalInvariantError, match="fixed slope"):
+            classify(sqrt_of(19))
 
 
 class TestShapeOracle:
