@@ -1,10 +1,11 @@
 """Periodic continued fractions of quadratic surds.
 
-Expansion iterates the complete-quotient map x -> 1/(x - floor(x)) with
-exact canonical surds as cycle-detection keys, so period detection is
-structural equality, never numeric.  The inverse direction (value) picks
-the reduced root of the period word's fixed-point quadratic and applies
-the preperiod as a fractional-linear map.
+Expansion iterates the complete-quotient map x -> 1/(x - floor(x)) as the
+PQa recurrence on integer pairs (P, Q), x = (P + sqrt(D))/Q.  By Galois'
+theorem the first reduced state starts the period, so period detection is
+one integer comparison against that state, never numeric.  The inverse
+direction (value) picks the reduced root of the period word's fixed-point
+quadratic and applies the preperiod as a fractional-linear map.
 """
 
 from __future__ import annotations
@@ -156,43 +157,44 @@ class Convergent(NamedTuple):
 
 
 def _quotient_walk(alpha: QuadraticSurd):
-    """Run the complete-quotient iteration until the first repeated state.
+    """Run the PQa recurrence on x = (P + sqrt(D))/Q until the cycle closes.
 
-    Returns (letters, states, cycle_start) where states[k] is the canonical
-    (a, b, c) triple of the k-th complete quotient and letters[k] its integer
-    part; states[cycle_start:] is the cycle.
+    With alpha = (a + b sqrt(d))/c, the least k making Q divide D - P^2 is
+    c / gcd(c, b^2 d - a^2); then root = |b| k, D = root^2 d and
+    (P, Q) = +-(a k, c k) with the sign of b.  Each step takes
+    n = floor(x), P' = nQ - P, Q' = (D - P'^2)/Q, and Q keeps dividing D - P^2.
+    By Galois' theorem the first reduced state (P <= s and s - P < Q <= s + P for
+    s = isqrt(D), so Q > 0) starts the period, which closes when that state recurs.
+
+    Returns (letters, states, start, root) where states[k] = (P, Q) is the k-th
+    complete quotient (P + root sqrt(d))/Q, letters[k] its integer part and
+    states[start:] the cycle.
     """
     a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
-    seen: dict[tuple[int, int, int], int] = {}
+    k = c // gcd(c, b * b * d - a * a)
+    root = abs(b) * k
+    P, Q = (a * k, c * k) if b > 0 else (-a * k, -c * k)
+    D = root * root * d
+    s = isqrt(D)
     letters: list[int] = []
-    states: list[tuple[int, int, int]] = []
-    seen_get, push_letter, push_state = seen.get, letters.append, states.append
-    _gcd, _isqrt = gcd, isqrt
-    bbd = b * b * d
-    count = 0
+    states: list[tuple[int, int]] = []
+    push_letter, push_state = letters.append, states.append
+    first = start = None
     while True:
-        key = (a, b, c)
-        hit = seen_get(key)
-        if hit is not None:
-            return letters, states, hit
-        seen[key] = count
-        push_state(key)
-        m = _isqrt(bbd) if b > 0 else -_isqrt(bbd) - 1
-        n = (a + m) // c
-        push_letter(n)
-        u = a - n * c
-        e = u * u - bbd
-        a2, b2, c2 = c * u, -c * b, e
-        if c2 < 0:
-            a2, b2, c2 = -a2, -b2, -c2
-        g = _gcd(a2, b2, c2)
-        a, b, c = a2 // g, b2 // g, c2 // g
-        bbd = b * b * d
-        count += 1
-        if count > _ITERATION_CAP:
+        state = (P, Q)
+        if state == first:
+            return letters, states, start, root
+        if first is None and P <= s and s - P < Q <= s + P:
+            first, start = state, len(states)
+        push_state(state)
+        if len(states) > _ITERATION_CAP:
             raise ResourceLimit(
                 f"no period found for {alpha!r} within the limit of {_ITERATION_CAP} steps"
             )
+        n = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        push_letter(n)
+        P = n * Q - P
+        Q = (D - P * P) // Q
 
 
 def expand(alpha: QuadraticSurd) -> PeriodicCF:
@@ -200,48 +202,39 @@ def expand(alpha: QuadraticSurd) -> PeriodicCF:
     return _expansion_and_cycle(alpha)[0]
 
 
-def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, list[tuple[int, int, int]]]:
-    """The expansion of alpha and the state keys of its cycle in period order, from one walk."""
-    letters, states, start = _quotient_walk(alpha)
-    # The first repeated state makes the period primitive.  Equal last letters of
-    # the preperiod and the period would make the state one step earlier repeat.
-    return PeriodicCF._make(tuple(letters[:start]), tuple(letters[start:])), states[start:]
+def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, list[tuple[int, int]], int]:
+    """From one walk: the expansion of alpha, its cycle states (P, Q) in period order, and root."""
+    letters, states, start, root = _quotient_walk(alpha)
+    # The cycle starts at the first reduced state, so the period is primitive.  Equal last
+    # letters of the preperiod and the period would make the state before it a cycle state.
+    return PeriodicCF._make(tuple(letters[:start]), tuple(letters[start:])), states[start:], root
+
+
+def _surds(states: list[tuple[int, int]], root: int, d: int) -> list[QuadraticSurd]:
+    """Walk states (P, Q) as the canonical surds (P + root sqrt(d))/Q."""
+    return [QuadraticSurd._reduce(P, root, Q, d) for P, Q in states]
 
 
 def complete_quotient_cycle(alpha: QuadraticSurd) -> list[QuadraticSurd]:
     """The cyclically ordered reduced complete quotients of the expansion."""
-    d = alpha.d
-    return [QuadraticSurd._make(a, b, c, d) for (a, b, c) in _expansion_and_cycle(alpha)[1]]
+    _cf, cycle, root = _expansion_and_cycle(alpha)
+    return _surds(cycle, root, alpha.d)
 
 
 def value(cf: PeriodicCF) -> QuadraticSurd:
     """Exact value of a periodic continued fraction.
 
-    The purely periodic tail is the unique reduced root of the fixed-point
-    quadratic of the period word's continuant matrix; the preperiod is then
-    applied one letter at a time.
+    The purely periodic tail is the larger root of the fixed-point quadratic
+    of the period word's continuant matrix: its letters are >= 1, so the
+    continuant's r and q are >= 1 and the two roots have opposite signs.  The
+    preperiod is then applied as one fractional-linear map.
     """
     p, q, r, s = continuant(cf.period)
     # fixed point of x -> (p x + q)/(r x + s):  r x^2 + (s - p) x - q = 0
-    plus = QuadraticSurd.from_root(r, s - p, -q, larger=True)
-    if plus.is_reduced():
-        x = plus
-    else:
-        x = QuadraticSurd.from_root(r, s - p, -q, larger=False)
-        if not x.is_reduced():
-            raise InternalInvariantError(
-                f"no reduced root for period {cf.period}"
-            )
-    a, b, c, d = x.a, x.b, x.c, x.d
-    for letter in reversed(cf.preperiod):
-        # x -> letter + 1/x on the raw canonical triple
-        e = a * a - b * b * d
-        a, b, c = letter * e + c * a, -c * b, e
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(a, b, c)
-        a, b, c = a // g, b // g, c // g
-    return QuadraticSurd._make(a, b, c, d)
+    x = QuadraticSurd.from_root(r, s - p, -q)
+    if not x.is_reduced():
+        raise InternalInvariantError(f"no reduced root for period {cf.period}")
+    return UnimodularMatrix(*continuant(cf.preperiod)).mobius(x)
 
 
 def convergents(cf: PeriodicCF, n: int) -> list[Convergent]:
@@ -285,28 +278,26 @@ def serret_equivalent(alpha: QuadraticSurd, omega: QuadraticSurd) -> bool:
     """
     if alpha.d != omega.d:
         return False
-    return not set(_expansion_and_cycle(alpha)[1]).isdisjoint(_expansion_and_cycle(omega)[1])
-
-
-def _quotient_matrices(alpha: QuadraticSurd):
-    """Pairs (state_key, M) with alpha = mobius(M, complete quotient at state)."""
-    letters, states, _start = _quotient_walk(alpha)
-    m = (1, 0, 0, 1)
-    out = []
-    for key, a in zip(states, letters):
-        out.append((key, UnimodularMatrix(*m)))
-        m = continuant((a,), *m)
-    return out
+    return not set(complete_quotient_cycle(alpha)).isdisjoint(complete_quotient_cycle(omega))
 
 
 def serret_matrix(alpha: QuadraticSurd, omega: QuadraticSurd) -> UnimodularMatrix:
-    """A matrix A with det +-1 and mobius(A, omega) = alpha, via the shared tail."""
+    """A matrix A with det +-1 and mobius(A, omega) = alpha, via the shared tail.
+
+    With alpha's i-th complete quotient the first that omega also reaches, as
+    its j-th, A is C(alpha's first i letters) C(omega's first j letters)^-1 for
+    C the continuant.
+    """
     if alpha.d == omega.d:
-        omega_index = dict(_quotient_matrices(omega))
-        for key, m_alpha in _quotient_matrices(alpha):
-            m_omega = omega_index.get(key)
-            if m_omega is not None:
-                result = m_alpha @ m_omega.inverse()
+        d = alpha.d
+        a_letters, a_states, _, a_root = _quotient_walk(alpha)
+        w_letters, w_states, _, w_root = _quotient_walk(omega)
+        omega_index = {x: j for j, x in enumerate(_surds(w_states, w_root, d))}
+        for i, x in enumerate(_surds(a_states, a_root, d)):
+            j = omega_index.get(x)
+            if j is not None:
+                m_alpha = UnimodularMatrix(*continuant(a_letters[:i]))
+                result = m_alpha @ UnimodularMatrix(*continuant(w_letters[:j])).inverse()
                 if result.mobius(omega) != alpha:
                     raise InternalInvariantError(
                         f"tail composition failed for {alpha}, {omega}"

@@ -109,11 +109,12 @@ def _seed(flag: str, a0: int) -> tuple[int, int, int, int]:
     return 0, 1, 1, 0  # v_{-2} = (1, 0), v_{-1} = (0, 1)
 
 
-def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int, int]], flag: str,
-             center: Center) -> Witness:
+def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int]], root: int,
+             flag: str, center: Center) -> Witness:
     """Witness for a flag compatible with the center, from alpha's period and cycle states.
 
-    The cycle state x at the center's offset is the purely periodic surd of the
+    The cycle states (P, Q) are alpha's complete quotients (P + root sqrt(d))/Q.
+    The one at the center's offset, x, is the purely periodic surd of the
     rotated word, so (x, 1) is the expanding eigenvector of its continuant K and
     omega, the slope of S (x, 1), is (J S)(x).  omega is equivalent to alpha by
     construction: x is a complete quotient of alpha and J S is unimodular.
@@ -125,8 +126,9 @@ def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int,
     # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S the
     # seed and K the continuant of two periods, the chain's columns are S K = M S
     m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ seed_matrix.inverse()
-    x = cycle[offset % len(cycle)]  # a gap center at t - 1 has offset t
-    omega = (_SWAP @ seed_matrix).mobius(QuadraticSurd._make(*x, alpha.d))
+    P, Q = cycle[offset % len(cycle)]  # a gap center at t - 1 has offset t
+    x = QuadraticSurd._reduce(P, root, Q, alpha.d)
+    omega = (_SWAP @ seed_matrix).mobius(x)
     a, c = omega.a, omega.c
     n = a * a - omega.b * omega.b * omega.d
     # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
@@ -155,13 +157,13 @@ def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
         raise ValueError(f"unknown flag {flag!r}")
     if _FLAG_KIND[flag] is not center.kind:
         raise IncompatibleCenter(f"flag {flag!r} is incompatible with {center.kind.value} center")
-    cf, cycle = _expansion_and_cycle(alpha)
-    return _witness(alpha, CyclicWord(cf.period), cycle, flag, center)
+    cf, cycle, root = _expansion_and_cycle(alpha)
+    return _witness(alpha, CyclicWord(cf.period), cycle, root, flag, center)
 
 
 def classify(alpha: QuadraticSurd) -> Classification:
     """Centers, criterion flags, and witnesses of a surd's period word."""
-    cf, cycle = _expansion_and_cycle(alpha)
+    cf, cycle, root = _expansion_and_cycle(alpha)
     word = CyclicWord(cf.period)
     axis_list = tuple(centers(word))
     flags: set[str] = set()
@@ -170,7 +172,7 @@ def classify(alpha: QuadraticSurd) -> Classification:
         for flag in _KIND_FLAGS[center.kind]:
             if flag not in witnesses:  # first center of each kind decides
                 flags.add(flag)
-                witnesses[flag] = _witness(alpha, word, cycle, flag, center)
+                witnesses[flag] = _witness(alpha, word, cycle, root, flag, center)
     return Classification(alpha, cf, axis_list, frozenset(flags), witnesses)
 
 

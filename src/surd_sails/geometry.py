@@ -226,8 +226,9 @@ def sail_from_surd(
     k_min, k_max = k_range
     if k_min > k_max:
         raise ValueError("empty index window")
-    letters, states, start = _quotient_walk(alpha)
-    omega = QuadraticSurd._make(*states[start], alpha.d)
+    letters, states, start, root = _quotient_walk(alpha)
+    P, Q = states[start]
+    omega = QuadraticSurd._reduce(P, root, Q, alpha.d)
     word = tuple(letters[start:])
     t = len(word)
 

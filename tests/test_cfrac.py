@@ -1,12 +1,14 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from surd_sails import cfrac
 from surd_sails.arith import QuadraticSurd, UnimodularMatrix, sqrt_of, surd
 from surd_sails.cfrac import (
     PeriodicCF,
     complete_quotient_cycle,
+    continuant,
     convergents,
     expand,
     galois_reverse,
@@ -14,9 +16,9 @@ from surd_sails.cfrac import (
     serret_matrix,
     value,
 )
-from surd_sails.errors import InvalidPeriod, NotEquivalent, NotPurelyPeriodic
+from surd_sails.errors import InvalidPeriod, NotEquivalent, NotPurelyPeriodic, ResourceLimit
 
-from conftest import float_value, random_canonical_surd
+from conftest import canonical_tuples, float_value, random_canonical_surd
 
 PHI = QuadraticSurd(1, 1, 2, 5)
 SQRT2 = sqrt_of(2)
@@ -157,6 +159,63 @@ class TestExpand:
             assert body == body[::-1]
 
 
+def reference_walk(alpha):
+    """Complete quotients as canonical triples, with the cycle found by a seen-dict.
+
+    Returns (letters, states, start) like the library walk, with states[k] the
+    canonical (a, b, c) of the k-th complete quotient.
+    """
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    seen = {}
+    letters, states = [], []
+    while (a, b, c) not in seen:
+        seen[a, b, c] = len(states)
+        states.append((a, b, c))
+        bbd = b * b * d
+        n = (a + (isqrt(bbd) if b > 0 else -isqrt(bbd) - 1)) // c
+        letters.append(n)
+        u = a - n * c
+        a, b, c = c * u, -c * b, u * u - bbd
+        if c < 0:
+            a, b, c = -a, -b, -c
+        g = gcd(a, b, c)
+        a, b, c = a // g, b // g, c // g
+    return letters, states, seen[a, b, c]
+
+
+class TestWalk:
+    def check_against_reference(self, alpha):
+        letters, states, start, root = cfrac._quotient_walk(alpha)
+        ref_letters, ref_states, ref_start = reference_walk(alpha)
+        assert (letters, start) == (ref_letters, ref_start), alpha
+        surds = [QuadraticSurd._reduce(p, root, q, alpha.d) for p, q in states]
+        assert [(x.a, x.b, x.c) for x in surds] == ref_states, alpha
+        # the least multiplier keeps D = root^2 d within the discriminant
+        assert root * root * alpha.d <= alpha.discriminant(), alpha
+        return states
+
+    def test_matches_reference_on_box_sample(self, rng):
+        box = list(canonical_tuples())
+        negative_q = 0
+        for a, b, c, d in rng.sample(box, 3000):
+            states = self.check_against_reference(QuadraticSurd(a, b, c, d))
+            negative_q += any(q < 0 for _p, q in states)
+        assert negative_q > 1000  # b < 0 gives preperiod states with Q < 0
+
+    def test_matches_reference_on_long_words(self):
+        period = expand(sqrt_of(1000000007)).period
+        for alpha in (sqrt_of(1000007), value(PeriodicCF((7,) * 400, period))):
+            self.check_against_reference(alpha)
+
+    def test_walk_limit_boundary(self, monkeypatch):
+        # sqrt(19) = [4; (2, 1, 3, 1, 2, 8)] has seven states
+        monkeypatch.setattr(cfrac, "_ITERATION_CAP", 7)
+        assert expand(sqrt_of(19)) == PeriodicCF((4,), (2, 1, 3, 1, 2, 8))
+        monkeypatch.setattr(cfrac, "_ITERATION_CAP", 6)
+        with pytest.raises(ResourceLimit, match="limit of 6 steps"):
+            expand(sqrt_of(19))
+
+
 class TestValue:
     def test_single_letter(self):
         assert value(PeriodicCF((), (1,))) == PHI
@@ -291,6 +350,22 @@ class TestSerret:
     def test_not_equivalent_raises(self):
         with pytest.raises(NotEquivalent):
             serret_matrix(SQRT2, SQRT3)
+
+    def test_matrix_from_first_shared_quotient(self, rng):
+        # A = C(alpha's first i letters) C(omega's first j letters)^-1 for the
+        # first complete quotient of alpha that omega also reaches
+        mats = [UnimodularMatrix(1, 1, 0, 1), UnimodularMatrix(0, 1, 1, 0),
+                UnimodularMatrix(3, 2, 4, 3)]
+        for _ in range(200):
+            alpha = random_canonical_surd(rng, d_max=50)
+            omega = rng.choice(mats).mobius(rng.choice(mats).mobius(alpha))
+            a_letters, a_states, _ = reference_walk(alpha)
+            w_letters, w_states, _ = reference_walk(omega)
+            i = next(i for i, x in enumerate(a_states) if x in w_states)
+            j = w_states.index(a_states[i])
+            m_alpha = UnimodularMatrix(*continuant(a_letters[:i]))
+            m_omega = UnimodularMatrix(*continuant(w_letters[:j]))
+            assert serret_matrix(alpha, omega) == m_alpha @ m_omega.inverse(), (alpha, omega)
 
     def test_translates_are_equivalent(self, rng):
         for _ in range(50):

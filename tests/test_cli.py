@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -129,6 +130,13 @@ class TestCommands:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "discriminant,surd,period,flags"
         assert len(lines) == len(payload["rows"]) + 1
+
+    def test_survey_golden_csv_digest(self, capsys, tmp_path):
+        csv_path = tmp_path / "survey.csv"
+        assert main(["survey", "--dmax", "3000", "--csv", str(csv_path)]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        assert digest == "40ed6f950d8dee3cf2c8afd72eea8f18922fcabc43f3c077ca9a309bd35d1ef5"
 
 
 class TestExitCodes:

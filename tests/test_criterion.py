@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from surd_sails import cfrac, criterion
+from surd_sails import cfrac, criterion, geometry
 from surd_sails.arith import QuadraticSurd, UnimodularMatrix, sqrt_of
 from surd_sails.cfrac import PeriodicCF, expand, serret_equivalent, value
 from surd_sails.criterion import (
@@ -94,6 +95,18 @@ class TestClassify:
                 first = next(c for c in result.centers if c.kind is kind)
                 assert w == witness(alpha, flag, first)
 
+    def test_golden_json_digest(self):
+        # sha256 of the sorted-key JSON of every classification with
+        # discriminant <= 3000, concatenated in enumeration order
+        digest = hashlib.sha256()
+        count = 0
+        for _disc, alpha in iter_reduced_surds(3000):
+            digest.update(json.dumps(classify(alpha).to_json(), sort_keys=True).encode())
+            count += 1
+        assert count == 29337
+        golden = "2f73599554dee10c6e273c794217dcb070c17b4a5a517d61c70d56971c82888b"
+        assert digest.hexdigest() == golden
+
     @pytest.mark.parametrize(
         "alpha, flags",
         [
@@ -110,11 +123,21 @@ class TestClassify:
             walked.append(x)
             return inner(x)
 
+        def walks(f, *args):
+            walked.clear()
+            f(*args)
+            return len(walked)
+
         monkeypatch.setattr(cfrac, "_quotient_walk", counting_walk)
+        monkeypatch.setattr(geometry, "_quotient_walk", counting_walk)
         result = classify(alpha)
         assert result.flags == flags
         # one walk of alpha; each witness is checked against its cycle without a walk
         assert walked == [alpha]
+        assert walks(geometry.sail_from_surd, alpha, (-2, 8)) == 1
+        assert walks(cfrac.serret_matrix, alpha, alpha + 1) == 2
+        assert walks(cfrac.serret_equivalent, alpha, alpha + 1) == 2
+        assert walks(cfrac.value, result.cf) == 0
 
 
 class TestWitness:
