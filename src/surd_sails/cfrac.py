@@ -25,6 +25,7 @@ from .errors import (
 from .symmetry import smallest_period
 
 _ITERATION_CAP = 10**6
+_LEAF = 64  # words up to this many letters take the letter-by-letter loop
 
 
 class PeriodicCF:
@@ -137,7 +138,20 @@ def continuant(letters, p: int = 1, q: int = 0, r: int = 0, s: int = 1) -> tuple
     With seed columns (v_{-1} | v_{-2}), the columns after letters a_0..a_k
     are (v_k | v_{k-1}) for the recurrence v_k = v_{k-2} + a_k * v_{k-1}:
     the convergents of a continued fraction and the vertices of a sail.
+
+    Words longer than _LEAF letters are split in half and the halves'
+    products multiplied, a balanced product tree.  For n letters of bounded
+    size the entries have O(n) digits, so the cost is O(M(n) log n), M(n)
+    the cost of one product of n-digit integers: O(n^1.59) with CPython's
+    Karatsuba multiplication, against O(n^2) letter by letter.  Shorter
+    words take the letter-by-letter loop.
     """
+    n = len(letters)
+    if n > _LEAF:
+        h = n // 2
+        a, b, c, e = continuant(letters[h:])
+        p, q, r, s = continuant(letters[:h], p, q, r, s)
+        return p * a + q * c, p * b + q * e, r * a + s * c, r * b + s * e
     for a in letters:
         p, q, r, s = p * a + q, p, r * a + s, r
     return p, q, r, s

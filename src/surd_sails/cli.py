@@ -425,6 +425,9 @@ def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="surd-sails",
         description="Exact continued fractions, sails, and period symmetry of quadratic surds.",
+        epilog='An argument that starts with "-", such as a negative surd, goes after "--", '
+               'which ends the options: surd-sails expand -- "-sqrt(2)". '
+               'Options such as --json go before it.',
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,12 +10,13 @@ trace/norm conditions holds for some equivalent surd omega:
 
 Each flag is certified constructively.  The period word is rotated so the
 center sits at letter 0, and a seed S specific to the case is extended over
-two periods into the period map S K S^-1.  omega = (J S)(x), J the swap, is
-one integer Moebius image of the complete quotient x of alpha that starts at
-the center, so it is equivalent to alpha by construction; the case's equation
-and omega's being a fixed slope of the period map are checked as integer
-identities.  An involution exchanging the two cone lines, which it does
-exactly when the case's equation holds, is attached as the certificate.
+two periods into the period map S K K S^-1, K the continuant of one period.
+omega = (J S)(x), J the swap, is one integer Moebius image of the complete
+quotient x of alpha that starts at the center, so it is equivalent to alpha
+by construction; the case's equation and omega's being a fixed slope of the
+period map are checked as integer identities.  An involution exchanging the
+two cone lines, which it does exactly when the case's equation holds, is
+attached as the certificate.
 """
 
 from __future__ import annotations
@@ -109,38 +110,45 @@ def _seed(flag: str, a0: int) -> tuple[int, int, int, int]:
     return 0, 1, 1, 0  # v_{-2} = (1, 0), v_{-1} = (0, 1)
 
 
-def _witness(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int]], root: int,
-             flag: str, center: Center) -> Witness:
-    """Witness for a flag compatible with the center, from alpha's period and cycle states.
+def _witnesses(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int]], root: int,
+               center: Center, flags: tuple[str, ...]) -> dict[str, Witness]:
+    """Witnesses for flags compatible with the center, from alpha's period and cycle states.
 
-    The cycle states (P, Q) are alpha's complete quotients (P + root sqrt(d))/Q.
-    The one at the center's offset, x, is the purely periodic surd of the
-    rotated word, so (x, 1) is the expanding eigenvector of its continuant K and
-    omega, the slope of S (x, 1), is (J S)(x).  omega is equivalent to alpha by
-    construction: x is a complete quotient of alpha and J S is unimodular.
+    The period is rotated so the center's letter is letter 0 (for a gap
+    center, the letter after the gap), and its continuant K is taken once
+    for all the flags.  The cycle states (P, Q) are alpha's complete
+    quotients (P + root sqrt(d))/Q.  The one at the center's offset, x, is
+    the purely periodic surd of the rotated word, so (x, 1) is the expanding
+    eigenvector of K and omega, the slope of S (x, 1), is (J S)(x).  omega is
+    equivalent to alpha by construction: x is a complete quotient of alpha
+    and J S is unimodular.
     """
     offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
     rot = word.rotated(offset)
-    seed = _seed(flag, rot[0])
-    seed_matrix = UnimodularMatrix(*seed)
-    # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S the
-    # seed and K the continuant of two periods, the chain's columns are S K = M S
-    m = UnimodularMatrix(*continuant(rot + rot, *seed)) @ seed_matrix.inverse()
+    k = UnimodularMatrix(*continuant(rot))
+    kk = k @ k  # the continuant of two periods
     P, Q = cycle[offset % len(cycle)]  # a gap center at t - 1 has offset t
     x = QuadraticSurd._reduce(P, root, Q, alpha.d)
-    omega = (_SWAP @ seed_matrix).mobius(x)
-    a, c = omega.a, omega.c
-    n = a * a - omega.b * omega.b * omega.d
-    # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
-    # or -1/omega, so it exchanges omega and its conjugate exactly when this holds
-    case = {"a": a == 0, "b": 2 * a == c, "c": n == c * c, "d": n == -c * c}[flag]
-    # omega is a fixed slope of M: (c^2, -2ac, n) is proportional to (q, p - s, -r);
-    # the first cross product is divided by c > 0
-    fixed = c * (m.p - m.s) == -2 * a * m.q and -c * c * m.r == n * m.q
-    if not (case and fixed):
-        problem = "is not a fixed slope of its period map" if case else "fails its case equation"
-        raise InternalInvariantError(f"witness ({flag}) {omega!r} of {alpha!r} {problem}")
-    return Witness(omega, _CERTIFICATES[flag], m)
+    out = {}
+    for flag in flags:
+        seed_matrix = UnimodularMatrix(*_seed(flag, rot[0]))
+        # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S
+        # the seed, the chain's columns are S K K = M S
+        m = seed_matrix @ kk @ seed_matrix.inverse()
+        omega = (_SWAP @ seed_matrix).mobius(x)
+        a, c = omega.a, omega.c
+        n = a * a - omega.b * omega.b * omega.d
+        # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
+        # or -1/omega, so it exchanges omega and its conjugate exactly when this holds
+        case = {"a": a == 0, "b": 2 * a == c, "c": n == c * c, "d": n == -c * c}[flag]
+        # omega is a fixed slope of M: (c^2, -2ac, n) is proportional to (q, p - s, -r);
+        # the first cross product is divided by c > 0
+        fixed = c * (m.p - m.s) == -2 * a * m.q and -c * c * m.r == n * m.q
+        if not (case and fixed):
+            problem = "is not a fixed slope of its period map" if case else "fails its case equation"
+            raise InternalInvariantError(f"witness ({flag}) {omega!r} of {alpha!r} {problem}")
+        out[flag] = Witness(omega, _CERTIFICATES[flag], m)
+    return out
 
 
 def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
@@ -158,7 +166,7 @@ def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
     if _FLAG_KIND[flag] is not center.kind:
         raise IncompatibleCenter(f"flag {flag!r} is incompatible with {center.kind.value} center")
     cf, cycle, root = _expansion_and_cycle(alpha)
-    return _witness(alpha, CyclicWord(cf.period), cycle, root, flag, center)
+    return _witnesses(alpha, CyclicWord(cf.period), cycle, root, center, (flag,))[flag]
 
 
 def classify(alpha: QuadraticSurd) -> Classification:
@@ -166,14 +174,12 @@ def classify(alpha: QuadraticSurd) -> Classification:
     cf, cycle, root = _expansion_and_cycle(alpha)
     word = CyclicWord(cf.period)
     axis_list = tuple(centers(word))
-    flags: set[str] = set()
     witnesses: dict[str, Witness] = {}
     for center in axis_list:
-        for flag in _KIND_FLAGS[center.kind]:
-            if flag not in witnesses:  # first center of each kind decides
-                flags.add(flag)
-                witnesses[flag] = _witness(alpha, word, cycle, root, flag, center)
-    return Classification(alpha, cf, axis_list, frozenset(flags), witnesses)
+        flags = _KIND_FLAGS[center.kind]
+        if flags[0] not in witnesses:  # the first center of each kind decides
+            witnesses.update(_witnesses(alpha, word, cycle, root, center, flags))
+    return Classification(alpha, cf, axis_list, frozenset(witnesses), witnesses)
 
 
 def shape_oracle(alpha: QuadraticSurd) -> frozenset[str]:

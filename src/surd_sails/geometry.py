@@ -378,8 +378,8 @@ def lagrange_automorphism(form: QuadraticForm) -> UnimodularMatrix:
     """Nontrivial automorph of an indefinite form with a*c < 0.
 
     The larger root of a*t^2 + 2b*t + c expands as C(pre) applied to the
-    purely periodic tail, and the continuant K of the period (taken twice
-    when its length is odd, so that det K = 1) fixes that tail; hence
+    purely periodic tail, and the continuant K of the period (squared when
+    the period's length is odd, so that det K = 1) fixes that tail; hence
     N = C(pre) K C(pre)^-1 fixes the root as a Moebius map.  The automorph
     is N read as an action on slopes.  It has determinant 1, nonnegative
     entries, preserves the form, and fixes the lines spanned by (1, root)
@@ -389,9 +389,11 @@ def lagrange_automorphism(form: QuadraticForm) -> UnimodularMatrix:
     if form.a * form.c >= 0:
         raise PreconditionViolated(f"need a*c < 0, got a = {form.a}, c = {form.c}")
     cf = expand(form.roots()[0])
-    word = cf.period if len(cf.period) % 2 == 0 else cf.period * 2
+    k = UnimodularMatrix(*continuant(cf.period))
+    if len(cf.period) % 2:  # det K = (-1)^t
+        k = k @ k
     head = UnimodularMatrix(*continuant(cf.preperiod))
-    n = head @ UnimodularMatrix(*continuant(word)) @ head.inverse()
+    n = head @ k @ head.inverse()
     return UnimodularMatrix(n.s, n.r, n.q, n.p)
 
 

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -216,6 +218,48 @@ class TestWalk:
             expand(sqrt_of(19))
 
 
+def reference_continuant(letters, p=1, q=0, r=0, s=1):
+    """The letter-by-letter continuant loop, kept as the reference for the product tree."""
+    for a in letters:
+        p, q, r, s = p * a + q, p, r * a + s, r
+    return p, q, r, s
+
+
+class TestContinuant:
+    def random_seed(self, rng):
+        bound = rng.choice((3, 10**12))
+        return tuple(rng.randint(-bound, bound) for _ in range(4))
+
+    def test_matches_loop_at_every_length(self, rng):
+        # 0..300 letters crosses the leaf size and several levels of the tree
+        for n in range(301):
+            bound = rng.choice((3, 1000))
+            letters = [rng.randint(1, bound) for _ in range(n)]
+            if letters:
+                letters[0] = rng.randint(-5, 5)  # a preperiod's first letter may be <= 0
+            seed = self.random_seed(rng)
+            for word in (letters, tuple(letters)):
+                assert continuant(word) == reference_continuant(letters), n
+                assert continuant(word, *seed) == reference_continuant(letters, *seed), (n, seed)
+
+    def test_one_letter_steps(self, rng):
+        # convergents and the sail chain extend a running matrix one letter at a time
+        m = ref = (1, 0, 0, 1)
+        for _ in range(200):
+            a = rng.randint(1, 50)
+            m, ref = continuant((a,), *m), reference_continuant((a,), *ref)
+            assert m == ref
+
+    def test_long_word_is_fast(self):
+        rng = random.Random(50000)
+        letters = [rng.randint(1, 100) for _ in range(50000)]
+        start = time.perf_counter()
+        result = continuant(letters)
+        elapsed = time.perf_counter() - start
+        assert result == reference_continuant(letters)
+        assert elapsed < 1.0, elapsed
+
+
 class TestValue:
     def test_single_letter(self):
         assert value(PeriodicCF((), (1,))) == PHI
@@ -231,6 +275,17 @@ class TestValue:
         for q in (2, 3, 5, 10):
             v = value(PeriodicCF((), (q, 1))) + 1
             assert v == QuadraticSurd.from_root(1, -(q + 2), 1)
+
+    def test_long_period_roundtrip_is_fast(self):
+        # period 377,066: the continuant of the period is the whole cost of value
+        alpha = QuadraticSurd(-195, 2, 1646, 21673543)
+        cf = expand(alpha)
+        assert len(cf.period) == 377066
+        start = time.perf_counter()
+        result = value(cf)
+        elapsed = time.perf_counter() - start
+        assert result == alpha
+        assert elapsed < 2.0, elapsed
 
     def test_reduced_root_selection(self, rng):
         for _ in range(200):

@@ -170,6 +170,13 @@ class TestExitCodes:
         assert "form preserved: true" in out
         assert max(len(n) for n in re.findall(r"\d+", out)) > 4300
 
+    def test_negative_argument_after_double_dash(self, capsys):
+        assert main(["expand", "--", "-sqrt(2)"]) == 0
+        assert capsys.readouterr().out.strip() == str(cfrac.expand(QuadraticSurd(0, -1, 1, 2)))
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert 'surd-sails expand -- "-sqrt(2)"' in " ".join(capsys.readouterr().out.split())
+
     def test_usage_error(self, capsys):
         assert main(["survey"]) == 1  # missing --dmax
         capsys.readouterr()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from surd_sails.criterion import (
     witness,
 )
 from surd_sails.errors import IncompatibleCenter, InternalInvariantError, RationalValue
-from surd_sails.geometry import fixed_line_surds
+from surd_sails.geometry import QuadraticForm, fixed_line_surds, lagrange_automorphism
 from surd_sails.symmetry import Center, CenterKind, CyclicWord, is_cyclic_palindrome
 
 from conftest import random_canonical_surd
@@ -26,6 +27,18 @@ from conftest import random_canonical_surd
 PHI = QuadraticSurd(1, 1, 2, 5)
 SQRT2 = sqrt_of(2)
 SQRT3 = sqrt_of(3)
+
+# sqrt(1000000007), period 12,352, then sqrt(D), (1 + sqrt(D))/2 and (5 - 3 sqrt(D))/7 in
+# turn, each for the next squarefree D (D = 1 mod 4 for the second) from 6000002 on
+# whose expansion has a period of 800 to 1,200 letters
+LONG_PERIOD_SURDS = [QuadraticSurd(0, 1, 1, 1000000007)] + [
+    (QuadraticSurd(0, 1, 1, d), QuadraticSurd(1, 1, 2, d), QuadraticSurd(5, -3, 7, d))[i % 3]
+    for i, d in enumerate([
+        6000013, 6000037, 6000043, 6000087, 6000101, 6000118, 6000139, 6000277, 6000279, 6000281,
+        6000337, 6000338, 6000355, 6000361, 6000413, 6000429, 6000457, 6000466, 6000486, 6000497,
+        6000515,
+    ])
+]
 
 
 class TestClassify:
@@ -105,6 +118,25 @@ class TestClassify:
             count += 1
         assert count == 29337
         golden = "2f73599554dee10c6e273c794217dcb070c17b4a5a517d61c70d56971c82888b"
+        assert digest.hexdigest() == golden
+
+    def test_long_period_golden_digest(self):
+        # the d <= 3000 goldens reach periods of at most 85 letters; these run the
+        # continuant's product tree over periods of 800 to 12,352 letters
+        assert [len(expand(a).period) for a in LONG_PERIOD_SURDS[:4]] == [12352, 1007, 866, 1116]
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None:
+            sys.set_int_max_str_digits(0)  # sqrt(1000000007)'s period maps pass 4,300 digits
+        try:
+            digest = hashlib.sha256()
+            for alpha in LONG_PERIOD_SURDS:
+                digest.update(json.dumps(classify(alpha).to_json(), sort_keys=True).encode())
+                digest.update(repr(lagrange_automorphism(QuadraticForm.from_surd(alpha))).encode())
+                digest.update(repr(value(expand(alpha))).encode())
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+        golden = "eda53d87384eb9c309446f239d0f7927592d90c4508123f2ad5951d87490a105"
         assert digest.hexdigest() == golden
 
     @pytest.mark.parametrize(
