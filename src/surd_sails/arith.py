@@ -388,6 +388,17 @@ class UnimodularMatrix:
         self.s = s
 
     @classmethod
+    def _make(cls, p: int, q: int, r: int, s: int) -> "UnimodularMatrix":
+        """Trusted constructor for products, inverses and entry permutations of
+        unimodular matrices, whose determinant is +-1 already."""
+        self = object.__new__(cls)
+        self.p = p
+        self.q = q
+        self.r = r
+        self.s = s
+        return self
+
+    @classmethod
     def identity(cls) -> "UnimodularMatrix":
         return cls(1, 0, 0, 1)
 
@@ -400,7 +411,7 @@ class UnimodularMatrix:
         return self.p + self.s
 
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
+        return UnimodularMatrix._make(
             self.p * other.p + self.q * other.r,
             self.p * other.q + self.q * other.s,
             self.r * other.p + self.s * other.r,
@@ -409,10 +420,10 @@ class UnimodularMatrix:
 
     def inverse(self) -> "UnimodularMatrix":
         d = self.det
-        return UnimodularMatrix(d * self.s, -d * self.q, -d * self.r, d * self.p)
+        return UnimodularMatrix._make(d * self.s, -d * self.q, -d * self.r, d * self.p)
 
     def transpose(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.p, self.r, self.q, self.s)
+        return UnimodularMatrix._make(self.p, self.r, self.q, self.s)
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         """Column-vector action on a lattice point."""
@@ -430,7 +441,7 @@ class UnimodularMatrix:
 
     def act_on_slope(self, slope: QuadraticSurd) -> QuadraticSurd:
         """Slope of the image of the line through (1, slope): (r + s*t)/(p + q*t)."""
-        return UnimodularMatrix(self.s, self.r, self.q, self.p).mobius(slope)
+        return UnimodularMatrix._make(self.s, self.r, self.q, self.p).mobius(slope)
 
     def __eq__(self, other):
         if isinstance(other, UnimodularMatrix):

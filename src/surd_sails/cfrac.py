@@ -22,7 +22,6 @@ from .errors import (
     NotPurelyPeriodic,
     ResourceLimit,
 )
-from .symmetry import smallest_period
 
 _ITERATION_CAP = 10**6
 _LEAF = 64  # words up to this many letters take the letter-by-letter loop
@@ -130,6 +129,15 @@ def _check_letters(preperiod, period) -> None:
         raise InvalidPeriod(f"period letters must be >= 1: {period}")
     if any(x < 1 for x in preperiod[1:]):
         raise InvalidPeriod(f"preperiod letters after the first must be >= 1: {preperiod}")
+
+
+def smallest_period(word: tuple[int, ...]) -> int:
+    """Length of the shortest word whose power is `word`."""
+    t = len(word)
+    for p in range(1, t):
+        if t % p == 0 and all(word[i] == word[(i + p) % t] for i in range(t)):
+            return p
+    return t
 
 
 def continuant(letters, p: int = 1, q: int = 0, r: int = 0, s: int = 1) -> tuple[int, int, int, int]:

@@ -23,9 +23,7 @@ from typing import Optional, Union
 
 from .arith import QuadraticSurd
 from .cfrac import PeriodicCF, convergents, expand, serret_matrix, value
-from .criterion import classify, iter_reduced_surds
 from .errors import InternalInvariantError, NotEquivalent, ParseError, SurdSailsError
-from .geometry import QuadraticForm, emit_svg, fixed_line_surds, lagrange_automorphism, sail_from_surd
 
 SurdSpec = Union[QuadraticSurd, PeriodicCF]
 
@@ -234,6 +232,9 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 # -- subcommands ---------------------------------------------------------
+#
+# The symmetry, criterion and geometry layers are imported by the commands
+# that run them, so the other commands start without loading them.
 
 
 def _cmd_expand(args) -> int:
@@ -260,6 +261,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .criterion import classify
+
     alpha = parse_surd(args.spec)
     result = classify(alpha)
     payload = result.to_json()
@@ -308,6 +311,8 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_auto(args) -> int:
+    from .geometry import QuadraticForm, fixed_line_surds, lagrange_automorphism
+
     form = QuadraticForm.from_polynomial(args.a, args.b, args.c)
     matrix = lagrange_automorphism(form)
     slopes = fixed_line_surds(matrix)
@@ -343,6 +348,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_sail(args) -> int:
+    from .geometry import emit_svg, sail_from_surd
+
     alpha = parse_surd(args.spec)
     window = _parse_range(args.range)
     even, odd = sail_from_surd(alpha, window)
@@ -364,6 +371,8 @@ def _cmd_sail(args) -> int:
 
 
 def _survey_rows(max_disc: int) -> list[dict]:
+    from .criterion import classify, iter_reduced_surds
+
     rows = []
     for disc, alpha in iter_reduced_surds(max_disc):
         result = classify(alpha)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
+from .cfrac import smallest_period
 from .errors import InvalidPeriod
 
 
@@ -30,15 +31,6 @@ class Center:
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "pos": self.position}
-
-
-def smallest_period(word: tuple[int, ...]) -> int:
-    """Length of the shortest word whose power is `word`."""
-    t = len(word)
-    for p in range(1, t):
-        if t % p == 0 and all(word[i] == word[(i + p) % t] for i in range(t)):
-            return p
-    return t
 
 
 @dataclass(frozen=True)

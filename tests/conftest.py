@@ -1,11 +1,21 @@
+import os
 import random
 from math import gcd, sqrt
+from pathlib import Path
 
 import pytest
 
 from surd_sails.arith import QuadraticSurd, squarefree_split
 
 SQUAREFREE_SMALL = [d for d in range(2, 101) if squarefree_split(d)[1] == d]
+
+
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
 
 
 def float_value(alpha: QuadraticSurd) -> float:

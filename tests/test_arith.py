@@ -242,6 +242,28 @@ class TestMobius:
         assert zeros > 200
 
 
+class TestUnimodular:
+    def test_products_and_inverses_are_unimodular(self, rng):
+        # @, inverse and transpose skip the determinant check: the validating constructor
+        # must accept every matrix they return
+        def random_matrix():
+            m = UnimodularMatrix(*rng.choice([(1, 0, 0, 1), (0, 1, 1, 0), (1, 0, 0, -1)]))
+            for _ in range(rng.randint(0, 6)):
+                m = m @ UnimodularMatrix(rng.randint(-9, 9), 1, 1, 0)
+            return m
+
+        for _ in range(2000):
+            a, b = random_matrix(), random_matrix()
+            for m in (a @ b, a.inverse(), (a @ b).inverse(), a.transpose()):
+                assert m == UnimodularMatrix(m.p, m.q, m.r, m.s)
+                assert m.det in (1, -1)
+            assert a @ a.inverse() == UnimodularMatrix.identity()
+
+    def test_constructor_checks_determinant(self):
+        with pytest.raises(ValueError):
+            UnimodularMatrix(2, 0, 0, 1)
+
+
 class TestReduced:
     def test_examples(self):
         assert PHI.is_reduced()

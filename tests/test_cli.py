@@ -1,6 +1,9 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from surd_sails.arith import QuadraticSurd
 from surd_sails.cfrac import PeriodicCF, value
 from surd_sails.cli import main, parse_cf, parse_surd, parse_surd_spec
 from surd_sails.errors import ParseError
+
+from conftest import src_env
 
 
 class TestParser:
@@ -183,3 +188,29 @@ class TestExitCodes:
 
     def test_success(self):
         assert main(["expand", "sqrt(2)"]) == 0
+
+
+class TestFreshProcess:
+    def test_every_command_matches_in_process_output(self, capsys, tmp_path):
+        # each command in its own interpreter: in this process every layer is
+        # already imported, so a command's missing import would not show here
+        svg, csv = str(tmp_path / "sail.svg"), str(tmp_path / "survey.csv")
+        commands = [
+            ["expand", "(3-2*sqrt(7))/5"],
+            ["value", "[4; (2, 1, 3, 1, 2, 8)]"],
+            ["classify", "2+sqrt(19)", "--json"],
+            ["convergents", "sqrt(19)", "-n", "12"],
+            ["equiv", "sqrt(19)", "1/(sqrt(19)-4)"],
+            ["auto", "1", "-1", "-1"],
+            ["sail", "1+sqrt(2)", "--range=-2:8", "--svg", svg],
+            ["survey", "--dmax", "60", "--csv", csv],
+        ]
+        for argv in commands:
+            done = subprocess.run([sys.executable, "-m", "surd_sails.cli", *argv], env=src_env(),
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, (argv, done.stderr)
+            written = {path: Path(path).read_bytes() for path in (svg, csv) if path in argv}
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert done.stdout == capsys.readouterr().out, argv
+            assert all(Path(path).read_bytes() == data for path, data in written.items()), argv
