@@ -14,11 +14,14 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-from .errors import DivisionByZero, RadicandMismatch, RationalValue, ZeroDenominator
+from .errors import DivisionByZero, RadicandMismatch, RationalValue, ResourceLimit, ZeroDenominator
 
 Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
+
+# the largest trial divisor of squarefree_split: every n <= 10**18 is split within it
+_TRIAL_DIVISOR_CAP = 10**6
 
 
 @lru_cache(maxsize=1 << 16)
@@ -27,12 +30,19 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
     Trial division only up to the cube root: the remaining cofactor has at
     most two prime factors, so it is either a perfect square or squarefree.
+    A cofactor whose cube root passes _TRIAL_DIVISOR_CAP raises
+    ResourceLimit instead.
     """
     if n <= 0:
         raise ValueError("squarefree_split requires a positive integer")
     root, core, m = 1, 1, n
     p = 2
     while p * p * p <= m:
+        if p > _TRIAL_DIVISOR_CAP:
+            raise ResourceLimit(
+                f"cannot split {n} into a square and a squarefree part by trial division"
+                f" within the limit of {_TRIAL_DIVISOR_CAP} for the largest divisor"
+            )
         if m % p == 0:
             e = 0
             while m % p == 0:

@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -212,6 +211,8 @@ def parse_surd(text: str) -> QuadraticSurd:
 
 
 def _write_atomic(path: str, data: str) -> None:
+    import tempfile  # only the commands that write files load it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-surd-sails-")
     try:

@@ -8,15 +8,16 @@ trace/norm conditions holds for some equivalent surd omega:
     (c)  omega * conjugate = 1        (odd center; equivalent to (b))
     (d)  omega * conjugate = -1       (gap center)
 
-Each flag is certified constructively.  The period word is rotated so the
-center sits at letter 0, and a seed S specific to the case is extended over
-two periods into the period map S K K S^-1, K the continuant of one period.
-omega = (J S)(x), J the swap, is one integer Moebius image of the complete
-quotient x of alpha that starts at the center, so it is equivalent to alpha
-by construction; the case's equation and omega's being a fixed slope of the
-period map are checked as integer identities.  An involution exchanging the
-two cone lines, which it does exactly when the case's equation holds, is
-attached as the certificate.
+Each flag is certified constructively.  The center positions are solved mod
+t from the period's one reflection.  The period word is rotated so the center
+sits at letter 0, and a seed S specific to the case is extended over two
+periods into the period map S K K S^-1, integer products with K the
+continuant of one period.  omega = (J S)(x), J the swap, is one integer
+Moebius image of the complete quotient x of alpha that starts at the center,
+so it is equivalent to alpha by construction; the case's equation and omega's
+being a fixed slope of the period map are checked as integer identities.  The
+certificate is an involution that exchanges the two cone lines exactly when
+the case's equation holds.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     InternalInvariantError,
     ShapeViolation,
 )
-from .symmetry import Center, CenterKind, CyclicWord, centers, is_regular_palindrome, shape_decompose
+from .symmetry import Center, CenterKind, CyclicWord, _centers, is_regular_palindrome, shape_decompose
 
 _KIND_FLAGS = {
     CenterKind.EVEN_ELEMENT: ("a",),
@@ -50,8 +51,6 @@ _CERTIFICATES = {
     "c": UnimodularMatrix(0, 1, 1, 0),
     "d": UnimodularMatrix(0, -1, 1, 0),
 }
-
-_SWAP = UnimodularMatrix(0, 1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -110,32 +109,34 @@ def _seed(flag: str, a0: int) -> tuple[int, int, int, int]:
     return 0, 1, 1, 0  # v_{-2} = (1, 0), v_{-1} = (0, 1)
 
 
-def _witnesses(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, int]], root: int,
+def _witnesses(alpha: QuadraticSurd, period: tuple[int, ...], cycle: list[tuple[int, int]], root: int,
                center: Center, flags: tuple[str, ...]) -> dict[str, Witness]:
     """Witnesses for flags compatible with the center, from alpha's period and cycle states.
 
-    The period is rotated so the center's letter is letter 0 (for a gap
-    center, the letter after the gap), and its continuant K is taken once
-    for all the flags.  The cycle states (P, Q) are alpha's complete
-    quotients (P + root sqrt(d))/Q.  The one at the center's offset, x, is
-    the purely periodic surd of the rotated word, so (x, 1) is the expanding
-    eigenvector of K and omega, the slope of S (x, 1), is (J S)(x).  omega is
-    equivalent to alpha by construction: x is a complete quotient of alpha
-    and J S is unimodular.
+    The period is rotated so the center's letter (for a gap, the letter after
+    it) is letter 0; its continuant K and K K are integer products taken once
+    for all the flags.  The cycle states (P, Q) are alpha's complete quotients
+    (P + root sqrt(d))/Q; the one at the center's offset, x, is the purely
+    periodic surd of the rotated word, so (x, 1) is the expanding eigenvector
+    of K and omega, the slope of S (x, 1), is (J S)(x).  omega is equivalent
+    to alpha by construction: x is a complete quotient and J S is unimodular.
     """
-    offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
-    rot = word.rotated(offset)
-    k = UnimodularMatrix(*continuant(rot))
-    kk = k @ k  # the continuant of two periods
-    P, Q = cycle[offset % len(cycle)]  # a gap center at t - 1 has offset t
+    i = (center.position + (center.kind is CenterKind.GAP)) % len(period)  # a gap: the next letter
+    rot = period[i:] + period[:i]
+    kp, kq, kr, ks = continuant(rot)
+    p, q, r, s = kp * kp + kq * kr, kp * kq + kq * ks, kr * kp + ks * kr, kr * kq + ks * ks  # K K
+    P, Q = cycle[i]
     x = QuadraticSurd._reduce(P, root, Q, alpha.d)
     out = {}
     for flag in flags:
-        seed_matrix = UnimodularMatrix(*_seed(flag, rot[0]))
+        sp, sq, sr, ss = _seed(flag, rot[0])
         # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S
         # the seed, the chain's columns are S K K = M S
-        m = seed_matrix @ kk @ seed_matrix.inverse()
-        omega = (_SWAP @ seed_matrix).mobius(x)
+        u, v, w, z = sp * p + sq * r, sp * q + sq * s, sr * p + ss * r, sr * q + ss * s  # S K K
+        e = sp * ss - sq * sr  # det S = +-1, so S^-1 = e [[ss, -sq], [-sr, sp]]
+        mp, mq = e * (u * ss - v * sr), e * (v * sp - u * sq)
+        mr, ms = e * (w * ss - z * sr), e * (z * sp - w * sq)
+        omega = UnimodularMatrix._make(sr, ss, sp, sq).mobius(x)  # J S
         a, c = omega.a, omega.c
         n = a * a - omega.b * omega.b * omega.d
         # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
@@ -143,11 +144,11 @@ def _witnesses(alpha: QuadraticSurd, word: CyclicWord, cycle: list[tuple[int, in
         case = {"a": a == 0, "b": 2 * a == c, "c": n == c * c, "d": n == -c * c}[flag]
         # omega is a fixed slope of M: (c^2, -2ac, n) is proportional to (q, p - s, -r);
         # the first cross product is divided by c > 0
-        fixed = c * (m.p - m.s) == -2 * a * m.q and -c * c * m.r == n * m.q
+        fixed = c * (mp - ms) == -2 * a * mq and -c * c * mr == n * mq
         if not (case and fixed):
             problem = "is not a fixed slope of its period map" if case else "fails its case equation"
             raise InternalInvariantError(f"witness ({flag}) {omega!r} of {alpha!r} {problem}")
-        out[flag] = Witness(omega, _CERTIFICATES[flag], m)
+        out[flag] = Witness(omega, _CERTIFICATES[flag], UnimodularMatrix._make(mp, mq, mr, ms))
     return out
 
 
@@ -166,19 +167,18 @@ def witness(alpha: QuadraticSurd, flag: str, center: Center) -> Witness:
     if _FLAG_KIND[flag] is not center.kind:
         raise IncompatibleCenter(f"flag {flag!r} is incompatible with {center.kind.value} center")
     cf, cycle, root = _expansion_and_cycle(alpha)
-    return _witnesses(alpha, CyclicWord(cf.period), cycle, root, center, (flag,))[flag]
+    return _witnesses(alpha, cf.period, cycle, root, center, (flag,))[flag]
 
 
 def classify(alpha: QuadraticSurd) -> Classification:
     """Centers, criterion flags, and witnesses of a surd's period word."""
     cf, cycle, root = _expansion_and_cycle(alpha)
-    word = CyclicWord(cf.period)
-    axis_list = tuple(centers(word))
+    axis_list = tuple(_centers(cf.period))
     witnesses: dict[str, Witness] = {}
     for center in axis_list:
         flags = _KIND_FLAGS[center.kind]
         if flags[0] not in witnesses:  # the first center of each kind decides
-            witnesses.update(_witnesses(alpha, word, cycle, root, center, flags))
+            witnesses.update(_witnesses(alpha, cf.period, cycle, root, center, flags))
     return Classification(alpha, cf, axis_list, frozenset(witnesses), witnesses)
 
 

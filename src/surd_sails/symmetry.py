@@ -89,23 +89,23 @@ def is_cyclic_palindrome(word: CyclicWord | Sequence[int]) -> bool:
 def centers(word: CyclicWord) -> list[Center]:
     """All reflection axes of the bi-infinite periodic extension.
 
-    The word's one reflection j <-> r - 1 - j passes through the letters i
-    with 2i = r - 1 and the gaps i (between i and i + 1) with 2i + 1 = r - 1
-    (mod t); letter centers are listed first.  The result is empty exactly
-    when the word is not a cyclic palindrome.
+    In half positions mod 2t (letter i at 2i, the gap after it at 2i + 1),
+    the one reflection j <-> r - 1 - j is k <-> 2r - 2 - k, fixing k = r - 1
+    and r - 1 + t: both axes are solved mod t, not scanned for.  Letter centers
+    come first; there are none exactly when the word is not a cyclic palindrome.
     """
-    w = word.letters
+    return _centers(word.letters)
+
+
+def _centers(w: tuple[int, ...]) -> list[Center]:
+    """centers() of a primitive word of letters >= 1, given as its tuple."""
     r = _reflection(w)
     if r is None:
         return []
-    t = len(w)
-    found = [
-        Center(CenterKind.EVEN_ELEMENT if w[i] % 2 == 0 else CenterKind.ODD_ELEMENT, i)
-        for i in range(t)
-        if (2 * i + 1 - r) % t == 0
-    ]
-    found += [Center(CenterKind.GAP, i) for i in range(t) if (2 * i + 2 - r) % t == 0]
-    return found
+    half = ((r - 1) % len(w), (r - 1) % len(w) + len(w))
+    found = [Center(CenterKind.EVEN_ELEMENT if w[k // 2] % 2 == 0 else CenterKind.ODD_ELEMENT, k // 2)
+             for k in half if k % 2 == 0]
+    return found + [Center(CenterKind.GAP, k // 2) for k in half if k % 2]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,18 @@ from surd_sails.arith import QuadraticSurd, squarefree_split
 
 SQUAREFREE_SMALL = [d for d in range(2, 101) if squarefree_split(d)[1] == d]
 
+# sqrt(1000000007), period 12,352, then sqrt(D), (1 + sqrt(D))/2 and (5 - 3 sqrt(D))/7 in
+# turn, each for the next squarefree D (D = 1 mod 4 for the second) from 6000002 on
+# whose expansion has a period of 800 to 1,200 letters
+LONG_PERIOD_SURDS = [QuadraticSurd(0, 1, 1, 1000000007)] + [
+    (QuadraticSurd(0, 1, 1, d), QuadraticSurd(1, 1, 2, d), QuadraticSurd(5, -3, 7, d))[i % 3]
+    for i, d in enumerate([
+        6000013, 6000037, 6000043, 6000087, 6000101, 6000118, 6000139, 6000277, 6000279, 6000281,
+        6000337, 6000338, 6000355, 6000361, 6000413, 6000429, 6000457, 6000466, 6000486, 6000497,
+        6000515,
+    ])
+]
+
 
 def src_env() -> dict:
     """The environment with this checkout's src/ first on PYTHONPATH, for child interpreters."""

@@ -11,7 +11,7 @@ from surd_sails.arith import (
     squarefree_split,
     surd,
 )
-from surd_sails.errors import DivisionByZero, RadicandMismatch, RationalValue, ZeroDenominator
+from surd_sails.errors import DivisionByZero, RadicandMismatch, RationalValue, ResourceLimit, ZeroDenominator
 
 from conftest import float_value, random_canonical_surd
 
@@ -58,6 +58,15 @@ class TestConstruction:
         assert squarefree_split(101 * 103) == (1, 101 * 103)
         assert squarefree_split(101 * 101) == (101, 1)
         assert squarefree_split(4 * 101 * 101 * 7) == (2 * 101, 7)
+
+    def test_squarefree_split_trial_division_limit(self):
+        # every n <= 10**18 splits within the divisor limit: its cube root is at most 10**6
+        assert squarefree_split(10**18 + 9) == (1, 10**18 + 9)
+        assert squarefree_split(999983**2 * 3) == (999983, 3)
+        with pytest.raises(ResourceLimit, match="trial division within the limit of 1000000"):
+            squarefree_split(10**24 + 7)
+        with pytest.raises(ResourceLimit, match="trial division within the limit of 1000000"):
+            QuadraticSurd(0, 1, 1, 10**24 + 7)
 
 
 class TestConjugation:

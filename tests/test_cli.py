@@ -169,6 +169,13 @@ class TestExitCodes:
         assert "ResourceLimit" in err
         assert "limit of 5 steps" in err
 
+    def test_factoring_limit_is_a_domain_error(self, capsys):
+        # the radicand's squarefree part needs trial division past the divisor limit
+        assert main(["expand", "sqrt(1000000000000000000000007)"]) == 1
+        err = capsys.readouterr().err
+        assert "ResourceLimit" in err
+        assert "trial division within the limit of 1000000" in err
+
     def test_integers_beyond_4300_digits(self, capsys):
         assert main(["auto", "1", "0", "-100000000001"]) == 0
         out = capsys.readouterr().out

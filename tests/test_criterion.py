@@ -22,23 +22,37 @@ from surd_sails.errors import IncompatibleCenter, InternalInvariantError, Ration
 from surd_sails.geometry import QuadraticForm, fixed_line_surds, lagrange_automorphism
 from surd_sails.symmetry import Center, CenterKind, CyclicWord, is_cyclic_palindrome
 
-from conftest import random_canonical_surd
+from conftest import LONG_PERIOD_SURDS, random_canonical_surd
 
 PHI = QuadraticSurd(1, 1, 2, 5)
 SQRT2 = sqrt_of(2)
 SQRT3 = sqrt_of(3)
 
-# sqrt(1000000007), period 12,352, then sqrt(D), (1 + sqrt(D))/2 and (5 - 3 sqrt(D))/7 in
-# turn, each for the next squarefree D (D = 1 mod 4 for the second) from 6000002 on
-# whose expansion has a period of 800 to 1,200 letters
-LONG_PERIOD_SURDS = [QuadraticSurd(0, 1, 1, 1000000007)] + [
-    (QuadraticSurd(0, 1, 1, d), QuadraticSurd(1, 1, 2, d), QuadraticSurd(5, -3, 7, d))[i % 3]
-    for i, d in enumerate([
-        6000013, 6000037, 6000043, 6000087, 6000101, 6000118, 6000139, 6000277, 6000279, 6000281,
-        6000337, 6000338, 6000355, 6000361, 6000413, 6000429, 6000457, 6000466, 6000486, 6000497,
-        6000515,
-    ])
+SWAP = UnimodularMatrix(0, 1, 1, 0)
+
+# periods with flags (a), (b, c, d) and none
+SMALL_CASES = [
+    (value(PeriodicCF((), (4, 1, 2, 1))), {"a"}),
+    (value(PeriodicCF((), (3, 1, 1))), {"b", "c", "d"}),
+    (value(PeriodicCF((), (1, 2, 3))), set()),
 ]
+
+
+def reference_witnesses(alpha, word, cycle, root, center, flags):
+    """Witnesses through the validating CyclicWord and UnimodularMatrix and matrix products."""
+    offset = center.position if center.kind is not CenterKind.GAP else center.position + 1
+    rot = word.rotated(offset)
+    k = UnimodularMatrix(*cfrac.continuant(rot))
+    kk = k @ k
+    P, Q = cycle[offset % len(cycle)]
+    x = QuadraticSurd._reduce(P, root, Q, alpha.d)
+    out = {}
+    for flag in flags:
+        seed_matrix = UnimodularMatrix(*criterion._seed(flag, rot[0]))
+        m = seed_matrix @ kk @ seed_matrix.inverse()
+        omega = (SWAP @ seed_matrix).mobius(x)
+        out[flag] = (omega, _CERTIFICATES[flag], m)
+    return out
 
 
 class TestClassify:
@@ -139,14 +153,40 @@ class TestClassify:
         golden = "eda53d87384eb9c309446f239d0f7927592d90c4508123f2ad5951d87490a105"
         assert digest.hexdigest() == golden
 
-    @pytest.mark.parametrize(
-        "alpha, flags",
-        [
-            (value(PeriodicCF((), (4, 1, 2, 1))), {"a"}),
-            (value(PeriodicCF((), (3, 1, 1))), {"b", "c", "d"}),
-            (value(PeriodicCF((), (1, 2, 3))), set()),
-        ],
-    )
+    def test_witnesses_match_reference(self):
+        # every center's witnesses, against matrix products of validated objects
+        for alpha in [alpha for _disc, alpha in iter_reduced_surds(300)] + LONG_PERIOD_SURDS:
+            cf, cycle, root = cfrac._expansion_and_cycle(alpha)
+            result = classify(alpha)
+            chosen = {}
+            for center in result.centers:
+                flags = criterion._KIND_FLAGS[center.kind]
+                got = criterion._witnesses(alpha, cf.period, cycle, root, center, flags)
+                want = reference_witnesses(alpha, CyclicWord(cf.period), cycle, root, center, flags)
+                assert {f: (w.omega, w.certificate, w.period_map) for f, w in got.items()} == want
+                for flag in flags:
+                    chosen.setdefault(flag, want[flag])
+            got = {f: (w.omega, w.certificate, w.period_map) for f, w in result.witnesses.items()}
+            assert got == chosen, alpha
+
+    @pytest.mark.parametrize("alpha, flags", SMALL_CASES)
+    def test_classify_builds_no_validated_word_or_matrix(self, monkeypatch, alpha, flags):
+        # the walk's period is primitive with letters >= 1, and the witness identities
+        # check every period map, so neither validating constructor runs on this path
+        def refuse(self, *args):
+            raise AssertionError(f"validating {type(self).__name__} built")
+
+        monkeypatch.setattr(CyclicWord, "__init__", refuse)
+        monkeypatch.setattr(UnimodularMatrix, "__init__", refuse)
+        result = classify(alpha)
+        assert result.flags == flags
+        first = {}
+        for center in result.centers:
+            for flag in criterion._KIND_FLAGS[center.kind]:
+                first.setdefault(flag, witness(alpha, flag, center))
+        assert first == result.witnesses
+
+    @pytest.mark.parametrize("alpha, flags", SMALL_CASES)
     def test_classify_walks_alpha_once(self, monkeypatch, alpha, flags):
         walked = []
         inner = cfrac._quotient_walk
@@ -226,6 +266,13 @@ class TestWitness:
                 assert exchanged == case[flag], (omega, flag)
                 exchanges[flag] += exchanged
         assert min(exchanges.values()) > 0
+
+    def test_seeds_are_unimodular(self):
+        # omega = (J S)(x) is equivalent to x only for a unimodular seed S
+        for a0 in range(1, 200):
+            for flag in ("a", "d") if a0 % 2 == 0 else ("b", "c", "d"):
+                p, q, r, s = criterion._seed(flag, a0)
+                assert p * s - q * r in (1, -1), (flag, a0)
 
     @pytest.mark.parametrize("alpha", [SQRT3, PHI, sqrt_of(19), sqrt_of(94), sqrt_of(1000007)])
     def test_shifted_seed_is_caught(self, monkeypatch, alpha):

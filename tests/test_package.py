@@ -73,7 +73,7 @@ class TestImportSet:
     def test_cli_loads_only_arith_and_cfrac(self):
         loaded = modules_loaded_by("import surd_sails.cli")
         assert {"surd_sails.arith", "surd_sails.cfrac", "surd_sails.errors"} <= loaded
-        assert not loaded & (self.LATER_LAYERS | {"dataclasses"})
+        assert not loaded & (self.LATER_LAYERS | {"dataclasses", "tempfile"})
 
     def test_classify_loads_criterion_not_geometry(self):
         loaded = modules_loaded_by(

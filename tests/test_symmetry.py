@@ -1,12 +1,16 @@
 from itertools import product
+from math import isqrt
 
 import pytest
 
+from surd_sails.arith import QuadraticSurd
+from surd_sails.cfrac import expand
 from surd_sails.errors import InvalidPeriod
 from surd_sails.symmetry import (
     Center,
     CenterKind,
     CyclicWord,
+    _reflection,
     canonical_rotation,
     centers,
     centers_record,
@@ -14,6 +18,8 @@ from surd_sails.symmetry import (
     is_regular_palindrome,
     shape_decompose,
 )
+
+from conftest import LONG_PERIOD_SURDS
 
 
 def primitive_words(max_len, alphabet):
@@ -120,6 +126,16 @@ class TestCenters:
     def test_matches_center_scan(self):
         for word in primitive_words(8, (1, 2, 3)):
             assert centers(word) == scan_centers(word), word.letters
+        # periods of sqrt(n) and long periods, with t of both parities and r = 0
+        radicands = [n for n in range(2, 2001) if isqrt(n) ** 2 != n]
+        periods = [expand(QuadraticSurd(0, 1, 1, n)).period for n in radicands]
+        periods += [expand(alpha).period for alpha in LONG_PERIOD_SURDS]
+        shapes = set()
+        for letters in periods:
+            word = CyclicWord(letters)
+            assert centers(word) == scan_centers(word), letters
+            shapes.add((len(letters) % 2, _reflection(letters) == 0))
+        assert {(0, False), (1, False), (1, True)} <= shapes
 
     def test_reversal_mirror(self):
         for word in primitive_words(6, (1, 2, 3)):
