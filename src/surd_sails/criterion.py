@@ -244,10 +244,10 @@ def unit_period_check(q: int) -> bool:
 def iter_reduced_surds(max_disc: int) -> Iterator[tuple[int, QuadraticSurd]]:
     """All canonical reduced surds of discriminant <= max_disc, as (disc, surd).
 
-    Enumerates primitive triples (A, B, C) with A >= 1 and the larger root
-    reduced; the bounds A < sqrt(disc) and -sqrt(disc) < B < 0 with
-    C = (B^2 - disc)/(4A) are provable consequences of reducedness, and the
-    exact is_reduced filter has the final say.
+    Enumerates primitive triples (A, B, C) with A >= 1, B = -p and
+    C = (p^2 - disc)/(4A) whose larger root (p + sqrt(disc))/Q, Q = 2A, is
+    reduced: with s = isqrt(disc), exactly when p <= s and s - p < Q <= s + p,
+    the test that starts the cycle of the walk.
     """
     for disc in range(5, max_disc + 1):
         if disc % 4 not in (0, 1):
@@ -256,14 +256,11 @@ def iter_reduced_surds(max_disc: int) -> Iterator[tuple[int, QuadraticSurd]]:
         if s * s == disc:
             continue
         for qa in range(1, s + 1):
-            for babs in range(1, s + 1):
-                qb = -babs
-                num = qb * qb - disc
+            for p in range(max(1, s - 2 * qa + 1, 2 * qa - s), s + 1):
+                num = p * p - disc
                 if num % (4 * qa):
                     continue
                 qc = num // (4 * qa)
-                if gcd(qa, qb, qc) != 1:
+                if gcd(qa, p, qc) != 1:
                     continue
-                alpha = QuadraticSurd(-qb, 1, 2 * qa, disc)
-                if alpha.is_reduced():
-                    yield disc, alpha
+                yield disc, QuadraticSurd(p, 1, 2 * qa, disc)

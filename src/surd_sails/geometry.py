@@ -431,9 +431,7 @@ def _slope_direction(slope: QuadraticSurd, reach: int) -> tuple[int, int]:
     """Integer direction (x, y) along the line y = slope * x, |coords| >= reach."""
     conv = convergents(expand(slope), 12)[-1]
     x, y = conv.q, conv.p
-    k = 1
-    while abs(k * x) < reach and abs(k * y) < reach:
-        k += 1
+    k = max(1, -(-reach // max(abs(x), abs(y))))  # the least k >= 1 with k max(|x|, |y|) >= reach
     return k * x, k * y
 
 

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .cfrac import smallest_period
-from .errors import InvalidPeriod
+from .cfrac import PeriodicCF
+from .errors import ResourceLimit
+
+_ALPHABET_CAP = 0x110000  # chr(i) is one character for 0 <= i < 0x110000
 
 
 class CenterKind(Enum):
@@ -40,14 +42,7 @@ class CyclicWord:
     letters: tuple[int, ...]
 
     def __init__(self, letters):
-        letters = tuple(letters)
-        if not letters:
-            raise InvalidPeriod("cyclic word must be nonempty")
-        if any(x < 1 for x in letters):
-            raise InvalidPeriod(f"letters must be >= 1: {letters}")
-        if smallest_period(letters) != len(letters):
-            raise InvalidPeriod(f"{letters} is a power of a shorter word")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", PeriodicCF((), letters).period)  # checks the period invariants
 
     def __len__(self):
         return len(self.letters)
@@ -73,11 +68,20 @@ def _reflection(letters: tuple[int, ...]) -> Optional[int]:
     That rotation maps letter j to letter r - 1 - j (mod t).  A primitive
     word has at most one such r: two reflections would compose to a
     nontrivial rotation fixing the word.
+
+    r is the offset of the reversal in the doubled word, each distinct letter
+    coded as one character: one str.find, linear time on CPython >= 3.10 (the
+    two-way search of Crochemore and Perrin, 1991).  More than _ALPHABET_CAP
+    (0x110000) distinct letters raise ResourceLimit; a walk's period has at
+    most 10**6 letters.
     """
-    t = len(letters)
-    doubled = letters + letters
-    rev = letters[::-1]
-    return next((r for r in range(t) if doubled[r] == rev[0] and doubled[r : r + t] == rev), None)
+    alphabet = set(letters)
+    if len(alphabet) > _ALPHABET_CAP:
+        raise ResourceLimit(f"no reflection search past the limit of {_ALPHABET_CAP} distinct letters")
+    code = {a: chr(i) for i, a in enumerate(alphabet)}
+    s = "".join(map(code.__getitem__, letters))
+    r = (s + s).find(s[::-1])
+    return r if 0 <= r < len(s) else None
 
 
 def is_cyclic_palindrome(word: CyclicWord | Sequence[int]) -> bool:

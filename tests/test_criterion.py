@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,18 @@ class TestClassify:
                     chosen.setdefault(flag, want[flag])
             got = {f: (w.omega, w.certificate, w.period_map) for f, w in result.witnesses.items()}
             assert got == chosen, alpha
+
+    def test_long_period_is_fast(self):
+        # period 377,066: the reflection is one linear search, then one continuant per center
+        alpha = QuadraticSurd(-195, 2, 1646, 21673543)
+        start = time.perf_counter()
+        result = classify(alpha)
+        elapsed = time.perf_counter() - start
+        assert len(result.cf.period) == 377066
+        assert result.flags == {"b", "c"}
+        odd = CenterKind.ODD_ELEMENT
+        assert result.centers == (Center(odd, 184459), Center(odd, 372992))
+        assert elapsed < 2.5, elapsed
 
     @pytest.mark.parametrize("alpha, flags", SMALL_CASES)
     def test_classify_builds_no_validated_word_or_matrix(self, monkeypatch, alpha, flags):

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 
@@ -472,6 +473,18 @@ class TestSvg:
         expected = len(even.boundary_vertices()) + len(odd.boundary_vertices())
         assert text.count('class="vertex"') == expected
         assert text.count('class="cone"') == 2  # the two lines, drawn once
+
+    def test_wide_window_cone_lines(self):
+        # the cone lines reach past the viewport, whose size grows exponentially with the window
+        even, odd = sail_from_surd(1 + SQRT2, (0, 40))
+        start = time.perf_counter()
+        text = emit_svg([even, odd])
+        elapsed = time.perf_counter() - start
+        xs = [int(x) for line in re.findall(r'class="cone"[^>]*', text)
+              for x in re.findall(r'x[12]="(-?\d+)"', line)]
+        assert len(xs) == 4
+        assert min(xs) < 0 and max(xs) > int(re.search(r'width="(\d+)"', text).group(1))
+        assert elapsed < 1.0, elapsed
 
     def test_symmetric_configuration(self):
         sail = korkina_construct(P(1, -1), P(1, 1), [2] * 4, 2, back_letters=[2] * 4)

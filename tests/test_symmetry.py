@@ -3,9 +3,10 @@ from math import isqrt
 
 import pytest
 
+from surd_sails import symmetry
 from surd_sails.arith import QuadraticSurd
 from surd_sails.cfrac import expand
-from surd_sails.errors import InvalidPeriod
+from surd_sails.errors import InvalidPeriod, ResourceLimit
 from surd_sails.symmetry import (
     Center,
     CenterKind,
@@ -29,6 +30,17 @@ def primitive_words(max_len, alphabet):
                 yield CyclicWord(letters)
             except InvalidPeriod:
                 continue
+
+
+# letters past one str character, and words in which most offsets share a long prefix
+# with the reversal; cyclic palindromes and not
+EXTRA_WORDS = [
+    (10**30, 1, 10**30 + 1),
+    (10**30, 1, 10**30),
+    (2**64, 3, 2**64, 0x110001, 5),
+    (1,) * 200 + (2,) + (1,) * 199 + (3,),
+    (1,) * 200 + (2,) + (1,) * 200 + (3,),
+]
 
 
 def brute_cyclic_palindrome(letters):
@@ -89,8 +101,16 @@ class TestCyclicPalindrome:
         assert not is_cyclic_palindrome(CyclicWord((1, 2, 3)))
 
     def test_matches_rotation_brute_force(self):
-        for word in primitive_words(7, (1, 2, 3)):
+        for word in [*primitive_words(7, (1, 2, 3)), *map(CyclicWord, EXTRA_WORDS)]:
             assert is_cyclic_palindrome(word) == brute_cyclic_palindrome(word.letters)
+            assert is_cyclic_palindrome(word.letters) == is_cyclic_palindrome(word)
+        assert not is_cyclic_palindrome(())
+
+    def test_alphabet_limit(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "_ALPHABET_CAP", 3)
+        assert is_cyclic_palindrome((1, 2, 3, 2))
+        with pytest.raises(ResourceLimit, match="limit of 3 distinct letters"):
+            is_cyclic_palindrome((1, 2, 3, 4))
 
 
 class TestCenters:
@@ -129,7 +149,7 @@ class TestCenters:
         # periods of sqrt(n) and long periods, with t of both parities and r = 0
         radicands = [n for n in range(2, 2001) if isqrt(n) ** 2 != n]
         periods = [expand(QuadraticSurd(0, 1, 1, n)).period for n in radicands]
-        periods += [expand(alpha).period for alpha in LONG_PERIOD_SURDS]
+        periods += [expand(alpha).period for alpha in LONG_PERIOD_SURDS] + EXTRA_WORDS
         shapes = set()
         for letters in periods:
             word = CyclicWord(letters)
