@@ -276,22 +276,10 @@ class QuadraticSurd:
         return QuadraticSurd._make(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
-        t = self._coerce(other)
-        if t is None:
-            return NotImplemented
-        a2, b2, c2 = t
-        return QuadraticSurd._reduce(
-            self.a * c2 - a2 * self.c, self.b * c2 - b2 * self.c, self.c * c2, self.d
-        )
+        return self + -other if self._coerce(other) is not None else NotImplemented
 
     def __rsub__(self, other):
-        t = self._coerce(other)
-        if t is None:
-            return NotImplemented
-        a2, b2, c2 = t
-        return QuadraticSurd._reduce(
-            a2 * self.c - self.a * c2, b2 * self.c - self.b * c2, self.c * c2, self.d
-        )
+        return -self + other if self._coerce(other) is not None else NotImplemented
 
     def __mul__(self, other):
         t = self._coerce(other)
@@ -379,6 +367,20 @@ def sqrt_of(value: _RationalLike) -> QuadraticSurd:
     return QuadraticSurd(0, 1, v.denominator, v.numerator * v.denominator)
 
 
+def _product(m: tuple[int, int, int, int], n: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The product of two row-major 2x2 integer matrices (p, q, r, s)."""
+    p, q, r, s = m
+    a, b, c, e = n
+    return p * a + q * c, p * b + q * e, r * a + s * c, r * b + s * e
+
+
+def _inverse(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The inverse of a row-major 2x2 integer matrix of determinant +-1."""
+    p, q, r, s = m
+    d = p * s - q * r  # 1/d = d
+    return d * s, -d * q, -d * r, d * p
+
+
 class UnimodularMatrix:
     """Row-major integer matrix [[p, q], [r, s]] with determinant +1 or -1."""
 
@@ -399,8 +401,8 @@ class UnimodularMatrix:
 
     @classmethod
     def _make(cls, p: int, q: int, r: int, s: int) -> "UnimodularMatrix":
-        """Trusted constructor for products, inverses and entry permutations of
-        unimodular matrices, whose determinant is +-1 already."""
+        """Trusted constructor for continuants, whose determinant is (-1)**letters, and for
+        products, inverses and entry permutations of unimodular matrices."""
         self = object.__new__(cls)
         self.p = p
         self.q = q
@@ -421,16 +423,10 @@ class UnimodularMatrix:
         return self.p + self.s
 
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix._make(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
-        )
+        return UnimodularMatrix._make(*_product(self._entries(), other._entries()))
 
     def inverse(self) -> "UnimodularMatrix":
-        d = self.det
-        return UnimodularMatrix._make(d * self.s, -d * self.q, -d * self.r, d * self.p)
+        return UnimodularMatrix._make(*_inverse(self._entries()))
 
     def transpose(self) -> "UnimodularMatrix":
         return UnimodularMatrix._make(self.p, self.r, self.q, self.s)
@@ -455,11 +451,14 @@ class UnimodularMatrix:
 
     def __eq__(self, other):
         if isinstance(other, UnimodularMatrix):
-            return (self.p, self.q, self.r, self.s) == (other.p, other.q, other.r, other.s)
+            return self._entries() == other._entries()
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q, self.r, self.s))
+        return hash(self._entries())
+
+    def _entries(self) -> tuple[int, int, int, int]:
+        return self.p, self.q, self.r, self.s
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.p, self.q), (self.r, self.s)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, NamedTuple
 
-from .arith import QuadraticSurd, UnimodularMatrix
+from .arith import QuadraticSurd, UnimodularMatrix, _inverse, _product
 from .errors import (
     InternalInvariantError,
     InvalidPeriod,
@@ -157,9 +157,7 @@ def continuant(letters, p: int = 1, q: int = 0, r: int = 0, s: int = 1) -> tuple
     n = len(letters)
     if n > _LEAF:
         h = n // 2
-        a, b, c, e = continuant(letters[h:])
-        p, q, r, s = continuant(letters[:h], p, q, r, s)
-        return p * a + q * c, p * b + q * e, r * a + s * c, r * b + s * e
+        return _product(continuant(letters[:h], p, q, r, s), continuant(letters[h:]))
     for a in letters:
         p, q, r, s = p * a + q, p, r * a + s, r
     return p, q, r, s
@@ -256,7 +254,7 @@ def value(cf: PeriodicCF) -> QuadraticSurd:
     x = QuadraticSurd.from_root(r, s - p, -q)
     if not x.is_reduced():
         raise InternalInvariantError(f"no reduced root for period {cf.period}")
-    return UnimodularMatrix(*continuant(cf.preperiod)).mobius(x)
+    return UnimodularMatrix._make(*continuant(cf.preperiod)).mobius(x)
 
 
 def convergents(cf: PeriodicCF, n: int) -> list[Convergent]:
@@ -318,8 +316,8 @@ def serret_matrix(alpha: QuadraticSurd, omega: QuadraticSurd) -> UnimodularMatri
         for i, x in enumerate(_surds(a_states, a_root, d)):
             j = omega_index.get(x)
             if j is not None:
-                m_alpha = UnimodularMatrix(*continuant(a_letters[:i]))
-                result = m_alpha @ UnimodularMatrix(*continuant(w_letters[:j])).inverse()
+                result = UnimodularMatrix._make(
+                    *_product(continuant(a_letters[:i]), _inverse(continuant(w_letters[:j]))))
                 if result.mobius(omega) != alpha:
                     raise InternalInvariantError(
                         f"tail composition failed for {alpha}, {omega}"

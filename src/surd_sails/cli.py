@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Union
 
-from .arith import QuadraticSurd
+from .arith import QuadraticSurd, sqrt_of
 from .cfrac import PeriodicCF, convergents, expand, serret_matrix, value
 from .errors import InternalInvariantError, NotEquivalent, ParseError, SurdSailsError
 
@@ -126,8 +126,7 @@ class _Parser:
                 raise ParseError("sqrt argument must be rational", at)
             if arg <= 0:
                 raise ParseError(f"sqrt argument must be positive, got {arg}", at)
-            num, den = arg.numerator, arg.denominator
-            return QuadraticSurd(0, 1, den, num * den)
+            return sqrt_of(arg)
         if kind == "(":
             out = self.expression()
             self.expect(")")
@@ -485,8 +484,9 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("survey", help="classify all reduced surds up to a discriminant")
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--json", dest="json_file", metavar="FILE")
-    p.add_argument("--csv", dest="csv_file", metavar="FILE")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--json", dest="json_file", metavar="FILE")
+    output.add_argument("--csv", dest="csv_file", metavar="FILE")
     p.set_defaults(func=_cmd_survey)
 
     return parser

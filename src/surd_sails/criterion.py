@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Mapping
 
-from .arith import QuadraticSurd, UnimodularMatrix, sqrt_of
+from .arith import QuadraticSurd, UnimodularMatrix, _inverse, _product, sqrt_of
 from .cfrac import PeriodicCF, _expansion_and_cycle, continuant, expand
 from .errors import (
     IncompatibleCenter,
@@ -123,19 +123,16 @@ def _witnesses(alpha: QuadraticSurd, period: tuple[int, ...], cycle: list[tuple[
     """
     i = (center.position + (center.kind is CenterKind.GAP)) % len(period)  # a gap: the next letter
     rot = period[i:] + period[:i]
-    kp, kq, kr, ks = continuant(rot)
-    p, q, r, s = kp * kp + kq * kr, kp * kq + kq * ks, kr * kp + ks * kr, kr * kq + ks * ks  # K K
+    k = continuant(rot)
+    kk = _product(k, k)
     P, Q = cycle[i]
     x = QuadraticSurd._reduce(P, root, Q, alpha.d)
     out = {}
     for flag in flags:
-        sp, sq, sr, ss = _seed(flag, rot[0])
+        seed = sp, sq, sr, ss = _seed(flag, rot[0])
         # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S
         # the seed, the chain's columns are S K K = M S
-        u, v, w, z = sp * p + sq * r, sp * q + sq * s, sr * p + ss * r, sr * q + ss * s  # S K K
-        e = sp * ss - sq * sr  # det S = +-1, so S^-1 = e [[ss, -sq], [-sr, sp]]
-        mp, mq = e * (u * ss - v * sr), e * (v * sp - u * sq)
-        mr, ms = e * (w * ss - z * sr), e * (z * sp - w * sq)
+        mp, mq, mr, ms = _product(_product(seed, kk), _inverse(seed))
         omega = UnimodularMatrix._make(sr, ss, sp, sq).mobius(x)  # J S
         a, c = omega.a, omega.c
         n = a * a - omega.b * omega.b * omega.d

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import QuadraticSurd, UnimodularMatrix
-from .cfrac import _quotient_walk, continuant, convergents, expand
+from .arith import QuadraticSurd, UnimodularMatrix, _inverse, _product
+from .cfrac import _expansion_and_cycle, continuant, convergents, expand
 from .errors import (
     BadSeed,
     DegenerateAngle,
@@ -226,10 +226,10 @@ def sail_from_surd(
     k_min, k_max = k_range
     if k_min > k_max:
         raise ValueError("empty index window")
-    letters, states, start, root = _quotient_walk(alpha)
-    P, Q = states[start]
+    cf, cycle, root = _expansion_and_cycle(alpha)
+    P, Q = cycle[0]
     omega = QuadraticSurd._reduce(P, root, Q, alpha.d)
-    word = tuple(letters[start:])
+    word = cf.period
     t = len(word)
 
     def letter_at(k: int) -> int:
@@ -389,12 +389,12 @@ def lagrange_automorphism(form: QuadraticForm) -> UnimodularMatrix:
     if form.a * form.c >= 0:
         raise PreconditionViolated(f"need a*c < 0, got a = {form.a}, c = {form.c}")
     cf = expand(form.roots()[0])
-    k = UnimodularMatrix(*continuant(cf.period))
+    k = continuant(cf.period)
     if len(cf.period) % 2:  # det K = (-1)^t
-        k = k @ k
-    head = UnimodularMatrix(*continuant(cf.preperiod))
-    n = head @ k @ head.inverse()
-    return UnimodularMatrix(n.s, n.r, n.q, n.p)
+        k = _product(k, k)
+    head = continuant(cf.preperiod)
+    p, q, r, s = _product(_product(head, k), _inverse(head))
+    return UnimodularMatrix._make(s, r, q, p)
 
 
 def fixed_line_surds(m: UnimodularMatrix) -> tuple[QuadraticSurd, QuadraticSurd]:

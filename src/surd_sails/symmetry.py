@@ -143,8 +143,24 @@ def shape_decompose(word: CyclicWord) -> ShapeDecomposition:
 
 
 def canonical_rotation(word: CyclicWord) -> tuple[int, ...]:
-    """Lexicographically least rotation; a stable dictionary key."""
-    return min(word.rotated(r) for r in range(len(word.letters)))
+    """Lexicographically least rotation; a stable dictionary key.
+
+    Two candidate starts i < j are compared letter by letter over the doubled
+    word; every other start below j is already ruled out.  A mismatch after k
+    equal letters rules out the larger one's start and the k starts after it,
+    which raises i + j by at least k + 1; as i + j < 2t, the scan is linear.
+    A primitive word has one least rotation, the start i left when j passes t.
+    """
+    w = word.letters
+    t, ww = len(w), w + w
+    i, j, k = 0, 1, 0
+    while j < t and k < t:
+        a, b = ww[i + k], ww[j + k]
+        if a == b:
+            k += 1
+        else:
+            i, j, k = (j, max(i + k + 1, j + 1), 0) if a > b else (i, j + k + 1, 0)
+    return word.rotated(i)
 
 
 def centers_record(word: CyclicWord) -> dict:

@@ -182,6 +182,29 @@ class TestArithmetic:
         assert (PHI * 2).key() == (1, 1, 1, 5)
         assert (PHI - 1) * PHI == 1  # golden ratio equation
 
+    def test_subtraction(self, rng):
+        # surd - x and x - surd are additions of the negation
+        for _ in range(200):
+            x = random_canonical_surd(rng)
+            same_field = QuadraticSurd(rng.randint(-30, 30), rng.choice([-2, -1, 1, 2]), rng.randint(1, 30), x.d)
+            others = [rng.randint(-30, 30), Fraction(rng.randint(-30, 30), rng.randint(1, 30)), same_field]
+            for y in others:
+                fy = float(y) if not isinstance(y, QuadraticSurd) else float_value(y)
+                for diff, want in ((x - y, float_value(x) - fy), (y - x, fy - float_value(x))):
+                    got = float(diff) if isinstance(diff, Fraction) else float_value(diff)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (x, y)
+            assert isinstance(x - x, Fraction) and x - x == 0
+        assert (1 - PHI).key() == (1, -1, 2, 5)
+        assert (Fraction(1, 2) - PHI).key() == (0, -1, 2, 5)
+        with pytest.raises(RadicandMismatch):
+            SQRT2 - surd(0, 1, 1, 3)
+        with pytest.raises(RadicandMismatch):
+            surd(0, 1, 1, 3) - SQRT2
+        with pytest.raises(TypeError):
+            SQRT2 - "1"
+        with pytest.raises(TypeError):
+            "1" - SQRT2
+
     def test_field_laws(self, rng):
         for _ in range(100):
             d = rng.choice([2, 3, 5, 7])

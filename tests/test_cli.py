@@ -193,6 +193,13 @@ class TestExitCodes:
         assert main(["survey"]) == 1  # missing --dmax
         capsys.readouterr()
 
+    def test_survey_json_and_csv_is_usage_error(self, capsys, tmp_path):
+        json_path, csv_path = tmp_path / "survey.json", tmp_path / "survey.csv"
+        assert main(["survey", "--dmax", "20", "--json", str(json_path), "--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+        assert not json_path.exists() and not csv_path.exists()
+
     def test_success(self):
         assert main(["expand", "sqrt(2)"]) == 0
 

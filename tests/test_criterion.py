@@ -24,6 +24,7 @@ from surd_sails.geometry import QuadraticForm, fixed_line_surds, lagrange_automo
 from surd_sails.symmetry import Center, CenterKind, CyclicWord, is_cyclic_palindrome
 
 from conftest import LONG_PERIOD_SURDS, random_canonical_surd
+from test_cfrac import reference_continuant
 
 PHI = QuadraticSurd(1, 1, 2, 5)
 SQRT2 = sqrt_of(2)
@@ -170,6 +171,21 @@ class TestClassify:
             got = {f: (w.omega, w.certificate, w.period_map) for f, w in result.witnesses.items()}
             assert got == chosen, alpha
 
+    def test_period_map_extends_seed_over_two_periods(self):
+        # M S = S K K for the seed S and the rotated period's continuant K, against the
+        # letter-by-letter continuant and a product written out here
+        for alpha in [alpha for _disc, alpha in iter_reduced_surds(300)] + LONG_PERIOD_SURDS:
+            result = classify(alpha)
+            period = result.cf.period
+            for flag, w in result.witnesses.items():
+                center = next(c for c in result.centers if c.kind is _FLAG_KIND[flag])
+                i = (center.position + (center.kind is CenterKind.GAP)) % len(period)
+                rot = period[i:] + period[:i]
+                seed = sp, sq, sr, ss = criterion._seed(flag, rot[0])
+                (mp, mq), (mr, ms) = w.period_map.rows()
+                m_s = mp * sp + mq * sr, mp * sq + mq * ss, mr * sp + ms * sr, mr * sq + ms * ss
+                assert m_s == reference_continuant(rot + rot, *seed), (alpha, flag)
+
     def test_long_period_is_fast(self):
         # period 377,066: the reflection is one linear search, then one continuant per center
         alpha = QuadraticSurd(-195, 2, 1646, 21673543)
@@ -214,7 +230,6 @@ class TestClassify:
             return len(walked)
 
         monkeypatch.setattr(cfrac, "_quotient_walk", counting_walk)
-        monkeypatch.setattr(geometry, "_quotient_walk", counting_walk)
         result = classify(alpha)
         assert result.flags == flags
         # one walk of alpha; each witness is checked against its cycle without a walk

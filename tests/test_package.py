@@ -1,8 +1,9 @@
-"""The package's public names, and which layers an import or a command loads."""
+"""The package's public names, the layers an import or a command loads, and the benchmark's tests."""
 
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +82,13 @@ class TestImportSet:
         )
         assert {"surd_sails.criterion", "surd_sails.symmetry"} <= loaded
         assert "surd_sails.geometry" not in loaded
+
+
+class TestBenchmark:
+    def test_bench_unittests_pass(self):
+        # the benchmark's own tests include its independent oracle's checks of every
+        # workload's outputs, so a change those checks would refuse fails here first
+        done = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s", "bench", "-t", "bench"],
+                              cwd=Path(__file__).resolve().parents[1], env=src_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-3000:]

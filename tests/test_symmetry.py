@@ -1,3 +1,4 @@
+import time
 from itertools import product
 from math import isqrt
 
@@ -232,3 +233,20 @@ class TestCanonicalRotation:
             expected = canonical_rotation(word)
             for r in range(len(word.letters)):
                 assert canonical_rotation(CyclicWord(word.rotated(r))) == expected
+
+    def test_matches_least_of_all_rotations(self):
+        for word in primitive_words(7, (1, 2, 3)):
+            least = min(word.rotated(r) for r in range(len(word.letters)))
+            assert canonical_rotation(word) == least, word.letters
+
+    def test_long_period_is_fast(self):
+        # period 377,066: the scan is linear, where building every rotation is quadratic
+        word = CyclicWord(expand(QuadraticSurd(-195, 2, 1646, 21673543)).period)
+        start = time.perf_counter()
+        least = canonical_rotation(word)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.5, elapsed
+        t = len(word.letters)
+        text, doubled = (f",{','.join(map(str, w))}," for w in (least, word.letters * 2))
+        assert len(least) == t and text in doubled  # a rotation
+        assert all(least <= word.rotated(r) for r in range(0, t, t // 40))
