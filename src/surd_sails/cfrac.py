@@ -152,14 +152,15 @@ def continuant(letters, p: int = 1, q: int = 0, r: int = 0, s: int = 1) -> tuple
     size the entries have O(n) digits, so the cost is O(M(n) log n), M(n)
     the cost of one product of n-digit integers: O(n^1.59) with CPython's
     Karatsuba multiplication, against O(n^2) letter by letter.  Shorter
-    words take the letter-by-letter loop.
+    words take the letter-by-letter loop, which carries the two columns.
     """
     n = len(letters)
     if n > _LEAF:
         h = n // 2
         return _product(continuant(letters[:h], p, q, r, s), continuant(letters[h:]))
     for a in letters:
-        p, q, r, s = p * a + q, p, r * a + s, r
+        q, p = p, p * a + q
+        s, r = r, r * a + s
     return p, q, r, s
 
 
@@ -183,8 +184,11 @@ def _quotient_walk(alpha: QuadraticSurd):
     c / gcd(c, b^2 d - a^2); then root = |b| k, D = root^2 d and
     (P, Q) = +-(a k, c k) with the sign of b.  Each step takes
     n = floor(x), P' = nQ - P, Q' = (D - P'^2)/Q, and Q keeps dividing D - P^2.
-    By Galois' theorem the first reduced state (P <= s and s - P < Q <= s + P for
-    s = isqrt(D), so Q > 0) starts the period, which closes when that state recurs.
+    Two phases: the preperiod runs to the first reduced state (P <= s and
+    s - P < Q <= s + P for s = isqrt(D)), its floor taking either sign of Q.
+    By Galois' theorem that state starts the period; reduced states stay
+    reduced, so the cycle phase has Q > 0, n = (P + s) // Q, and closes when P
+    and Q recur.  More than _ITERATION_CAP states raise ResourceLimit.
 
     Returns (letters, states, start, root) where states[k] = (P, Q) is the k-th
     complete quotient (P + root sqrt(d))/Q, letters[k] its integer part and
@@ -199,22 +203,26 @@ def _quotient_walk(alpha: QuadraticSurd):
     letters: list[int] = []
     states: list[tuple[int, int]] = []
     push_letter, push_state = letters.append, states.append
-    first = start = None
-    while True:
-        state = (P, Q)
-        if state == first:
-            return letters, states, start, root
-        if first is None and P <= s and s - P < Q <= s + P:
-            first, start = state, len(states)
-        push_state(state)
-        if len(states) > _ITERATION_CAP:
-            raise ResourceLimit(
-                f"no period found for {alpha!r} within the limit of {_ITERATION_CAP} steps"
-            )
+    cap = _ITERATION_CAP
+    # start ends as the preperiod length, or as cap after cap + 1 preperiod states
+    for start in range(cap + 1):
+        if P <= s and s - P < Q <= s + P:
+            break
+        push_state((P, Q))
         n = (P + s) // Q if Q > 0 else (P + s + 1) // Q
         push_letter(n)
         P = n * Q - P
         Q = (D - P * P) // Q
+    P0, Q0 = P, Q
+    for _ in range(cap - start):
+        push_state((P, Q))
+        n = (P + s) // Q
+        push_letter(n)
+        P = n * Q - P
+        Q = (D - P * P) // Q
+        if Q == Q0 and P == P0:
+            return letters, states, start, root
+    raise ResourceLimit(f"no period found for {alpha!r} within the limit of {cap} steps")
 
 
 def expand(alpha: QuadraticSurd) -> PeriodicCF:

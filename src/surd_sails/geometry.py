@@ -196,20 +196,20 @@ def _chain(
 
 def _check_chain_laws(v: dict[int, LatticePoint], a: dict[int, int]) -> None:
     """Determinant and turning laws every valid chain must satisfy."""
+    d = {k: det2(v[k - 1], v[k]) for k in v if k - 1 in v}  # d_k = det(v_{k-1}, v_k)
+    e = {k: det2(v[k - 2], v[k]) for k in v if k - 2 in v}  # e_k = det(v_{k-2}, v_k)
     for k in sorted(v):
-        if k - 1 in v:
-            d = det2(v[k - 1], v[k])
-            if abs(d) != 1:
-                raise InternalInvariantError(f"det(v_{k-1}, v_{k}) = {d}")
-            if k - 2 in v and det2(v[k - 2], v[k - 1]) != -d:
+        if k in d:
+            if abs(d[k]) != 1:
+                raise InternalInvariantError(f"det(v_{k-1}, v_{k}) = {d[k]}")
+            if k - 1 in d and d[k - 1] != -d[k]:
                 raise InternalInvariantError("determinant sign fails to alternate")
-        if k - 2 in v and k in a:
-            if det2(v[k - 2], v[k]) != a[k] * det2(v[k - 2], v[k - 1]):
+        if k in e and k in a:
+            if e[k] != a[k] * d[k - 1]:
                 raise InternalInvariantError(f"edge-length law fails at k = {k}")
-        if k - 2 in v and k + 2 in v and k in a and k + 2 in a:
+        if k in e and k + 2 in v and k in a and k + 2 in a:
             turn = det2(v[k - 2] - v[k], v[k + 2] - v[k])
-            hinge = det2(v[k - 1], v[k + 1])
-            if turn != -a[k] * a[k + 2] * hinge:
+            if turn != -a[k] * a[k + 2] * e[k + 1]:  # e_{k+1} is the hinge det(v_{k-1}, v_{k+1})
                 raise InternalInvariantError(f"turning law fails at k = {k}")
 
 

@@ -193,7 +193,16 @@ class TestWalk:
         surds = [QuadraticSurd._reduce(p, root, q, alpha.d) for p, q in states]
         assert [(x.a, x.b, x.c) for x in surds] == ref_states, alpha
         # the least multiplier keeps D = root^2 d within the discriminant
-        assert root * root * alpha.d <= alpha.discriminant(), alpha
+        D = root * root * alpha.d
+        assert D <= alpha.discriminant(), alpha
+        # the cycle loop's floor (P + s) // Q needs Q > 0: every cycle state is
+        # reduced, no preperiod state is, and one more step closes the cycle
+        s = isqrt(D)
+        reduced = [P <= s and s - P < Q <= s + P for P, Q in states]
+        assert reduced == [False] * start + [True] * (len(states) - start), alpha
+        P, Q = states[-1]
+        P = (P + s) // Q * Q - P
+        assert (P, (D - P * P) // Q) == states[start], alpha
         return states
 
     def test_matches_reference_on_box_sample(self, rng):
@@ -216,6 +225,21 @@ class TestWalk:
         monkeypatch.setattr(cfrac, "_ITERATION_CAP", 6)
         with pytest.raises(ResourceLimit, match="limit of 6 steps"):
             expand(sqrt_of(19))
+
+    def test_walk_limit_in_both_phases(self, monkeypatch):
+        # (3196 - sqrt(19))/447 = [7; 7, 7, (2, 1, 3, 1, 2, 8)]: three preperiod
+        # states, then six cycle states
+        cf = PeriodicCF((7, 7, 7), (2, 1, 3, 1, 2, 8))
+        alpha = value(cf)
+        assert alpha == QuadraticSurd(3196, -1, 447, 19)
+        _letters, states, start, _root = cfrac._quotient_walk(alpha)
+        assert (len(states), start) == (9, 3)
+        monkeypatch.setattr(cfrac, "_ITERATION_CAP", 9)
+        assert expand(alpha) == cf
+        for cap in (8, 3, 2):  # in the cycle; the first cycle state; in the preperiod
+            monkeypatch.setattr(cfrac, "_ITERATION_CAP", cap)
+            with pytest.raises(ResourceLimit, match=f"limit of {cap} steps"):
+                expand(alpha)
 
 
 def reference_continuant(letters, p=1, q=0, r=0, s=1):

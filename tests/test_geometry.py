@@ -4,12 +4,14 @@ import time
 
 import pytest
 
+from surd_sails import geometry
 from surd_sails.arith import QuadraticSurd, UnimodularMatrix, sqrt_of
 from surd_sails.cfrac import convergents, expand
 from surd_sails.errors import (
     BadSeed,
     DegenerateAngle,
     DegenerateSegment,
+    InternalInvariantError,
     NotAdjacent,
     NotHyperbolic,
     NotUnimodularArms,
@@ -254,6 +256,60 @@ class TestKorkina:
             for k in range(0, len(letters) + 1):
                 assert det2(v[k - 1], v[k]) == base * (-1) ** (k - 1)
                 assert det2(v[k - 2], v[k]) == a[k] * base * (-1) ** k
+
+
+def reference_chain_laws(v, a):
+    """The chain laws with every determinant taken afresh, six per index."""
+    for k in sorted(v):
+        if k - 1 in v:
+            d = det2(v[k - 1], v[k])
+            if abs(d) != 1:
+                raise InternalInvariantError(f"det(v_{k-1}, v_{k}) = {d}")
+            if k - 2 in v and det2(v[k - 2], v[k - 1]) != -d:
+                raise InternalInvariantError("determinant sign fails to alternate")
+        if k - 2 in v and k in a:
+            if det2(v[k - 2], v[k]) != a[k] * det2(v[k - 2], v[k - 1]):
+                raise InternalInvariantError(f"edge-length law fails at k = {k}")
+        if k - 2 in v and k + 2 in v and k in a and k + 2 in a:
+            turn = det2(v[k - 2] - v[k], v[k + 2] - v[k])
+            hinge = det2(v[k - 1], v[k + 1])
+            if turn != -a[k] * a[k + 2] * hinge:
+                raise InternalInvariantError(f"turning law fails at k = {k}")
+
+
+def chain_law_outcome(check, v, a):
+    try:
+        check(v, a)
+    except (InternalInvariantError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestChainLaws:
+    def test_matches_reference_on_gapped_windows(self, rng):
+        seen = set()
+        for _ in range(400):
+            a0 = rng.randint(1, 4)
+            letters = [rng.randint(1, 4) for _ in range(8)]
+            back = [rng.randint(1, 4) for _ in range(rng.randint(0, 4))]
+            sail = korkina_construct(P(1, 0), P(1, a0), letters, a0, back_letters=back)
+            v, a = dict(sail.vertices), dict(sail.labels)
+            for k in rng.sample(sorted(v), rng.randint(0, 3)):
+                del v[k]  # gaps in the window
+            j = rng.choice(sorted(v))
+            fault = rng.randrange(4)
+            if fault == 1:
+                v[j] = P(-v[j].x, -v[j].y)  # flips the sign of two determinants
+            elif fault == 2:
+                v[j] = v[j] + P(1, 0)
+            elif fault == 3 and j in a:
+                a[j] += 1
+            outcome = chain_law_outcome(geometry._check_chain_laws, v, a)
+            assert outcome == chain_law_outcome(reference_chain_laws, v, a), (v, a)
+            kind, message = outcome or (None, "")
+            seen.add(message.split("(")[0].split()[0] if kind == "InternalInvariantError" else kind)
+        # every law fails somewhere, gaps reach a missing vertex, and valid windows pass
+        assert seen == {None, "KeyError", "det", "determinant", "edge-length", "turning"}
 
 
 class TestEdgeSproutBijection:
