@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import Optional, Union
@@ -30,6 +31,10 @@ SurdSpec = Union[QuadraticSurd, PeriodicCF]
 # -- tokenizer / parser -------------------------------------------------
 
 _SYMBOLS = set("+-*/()[];,")
+# how many '(', 'sqrt(' and unary '-' may enclose a factor; each level costs the
+# recursive-descent parser up to three Python frames, inside the default
+# recursion limit of 1000
+_MAX_NESTING = 256
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -65,6 +70,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, object, int]:
         return self.tokens[self.pos]
@@ -113,27 +119,33 @@ class _Parser:
 
     # factor := int | sqrt '(' rational ')' | '(' expression ')' | '-' factor
     def factor(self):
-        kind, val, at = self.next()
-        if kind == "int":
-            return Fraction(val)
-        if kind == "name":
-            if val != "sqrt":
-                raise ParseError(f"unknown name {val!r}", at)
-            self.expect("(")
-            arg = self.expression()
-            self.expect(")")
-            if not isinstance(arg, Fraction):
-                raise ParseError("sqrt argument must be rational", at)
-            if arg <= 0:
-                raise ParseError(f"sqrt argument must be positive, got {arg}", at)
-            return sqrt_of(arg)
-        if kind == "(":
-            out = self.expression()
-            self.expect(")")
-            return out
-        if kind == "-":
-            return -self.factor()
-        raise ParseError(f"unexpected token {val!r}", at)
+        if self.depth > _MAX_NESTING:  # the open factors are the levels around this one
+            self.fail(f"input nested deeper than the limit of {_MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            kind, val, at = self.next()
+            if kind == "int":
+                return Fraction(val)
+            if kind == "name":
+                if val != "sqrt":
+                    raise ParseError(f"unknown name {val!r}", at)
+                self.expect("(")
+                arg = self.expression()
+                self.expect(")")
+                if not isinstance(arg, Fraction):
+                    raise ParseError("sqrt argument must be rational", at)
+                if arg <= 0:
+                    raise ParseError(f"sqrt argument must be positive, got {arg}", at)
+                return sqrt_of(arg)
+            if kind == "(":
+                out = self.expression()
+                self.expect(")")
+                return out
+            if kind == "-":
+                return -self.factor()
+            raise ParseError(f"unexpected token {val!r}", at)
+        finally:
+            self.depth -= 1
 
     # cf := '[' head? '(' int (',' int)* ')' ']'
     def cf_literal(self) -> PeriodicCF:
@@ -212,11 +224,18 @@ def parse_surd(text: str) -> QuadraticSurd:
 def _write_atomic(path: str, data: str) -> None:
     import tempfile  # only the commands that write files load it
 
+    try:  # the mode open(path, "w") would give, not mkstemp's 0600
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-surd-sails-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

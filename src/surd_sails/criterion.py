@@ -22,10 +22,9 @@ the case's equation holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .arith import QuadraticSurd, UnimodularMatrix, _inverse, _product, sqrt_of
 from .cfrac import PeriodicCF, _expansion_and_cycle, continuant, expand
@@ -53,8 +52,7 @@ _CERTIFICATES = {
 }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Equivalent surd realizing one criterion case, with its certificate."""
 
     omega: QuadraticSurd
@@ -71,8 +69,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     surd: QuadraticSurd
     cf: PeriodicCF
     centers: tuple[Center, ...]

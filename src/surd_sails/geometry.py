@@ -9,7 +9,6 @@ simultaneously edge lengths and angles along the two boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional, Sequence
 
@@ -181,16 +180,22 @@ def _chain(
     k_min: int,
     k_max: int,
 ) -> dict[int, LatticePoint]:
-    """Vertices v_k over [k_min, k_max] from v_{-2}, v_{-1} and letters a_k."""
-    v = {-2: seeds[0], -1: seeds[1]}
+    """Vertices v_k over [k_min, k_max] from v_{-2}, v_{-1} and letters a_k.
+
+    Both walks away from the seeds keep two running vertices and store only
+    those in the window, so memory grows with the window, not its distance from 0.
+    """
+    v = {k: pt for k, pt in ((-2, seeds[0]), (-1, seeds[1])) if k_min <= k <= k_max}
     m = (seeds[1][0], seeds[0][0], seeds[1][1], seeds[0][1])  # columns (v_{k-1} | v_{k-2})
     for k in range(k_max + 1):
         m = continuant((letter_at(k),), *m)
-        v[k] = LatticePoint(m[0], m[2])
-    k = -1
-    while k - 2 >= k_min:
-        v[k - 2] = v[k] - v[k - 1].scaled(letter_at(k))
-        k -= 1
+        if k >= k_min:
+            v[k] = LatticePoint(m[0], m[2])
+    hi, lo = seeds[1], seeds[0]  # v_k, v_{k-1}
+    for k in range(-1, k_min + 1, -1):
+        hi, lo = lo, hi - lo.scaled(letter_at(k))
+        if k - 2 <= k_max:
+            v[k - 2] = lo
     return {k: v[k] for k in range(k_min, k_max + 1)}
 
 
@@ -317,21 +322,24 @@ def edge_sprout_bijection(sail1: Sail, sail2: Sail) -> list[SproutEdgePair]:
     return pairs
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(NamedTuple("QuadraticForm", [("a", int), ("b", int), ("c", int)])):
     """Binary form c*x^2 + 2b*xy + a*y^2 attached to the quadratic a*t^2 + 2b*t + c."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a: int, b: int, c: int):
+        self = super().__new__(cls, a, b, c)
         d = self.discriminant
         if d <= 0:
             raise ValueError("form must be indefinite (positive discriminant)")
         r = isqrt_exact(d)
         if r is not None:
             raise ValueError(f"discriminant {d} = {r}^2 is a perfect square")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # behind _replace too, so no copy skips the check
+        return cls(*iterable)
 
     @property
     def discriminant(self) -> int:

@@ -7,9 +7,8 @@ or a gap between two neighbouring letters (an intermediate center).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cfrac import PeriodicCF
 from .errors import ResourceLimit
@@ -23,8 +22,7 @@ class CenterKind(Enum):
     GAP = "gap"
 
 
-@dataclass(frozen=True)
-class Center:
+class Center(NamedTuple):
     """A reflection axis: through the letter at `position`, or through the gap
     between positions `position` and `position + 1` (mod the word length)."""
 
@@ -35,14 +33,17 @@ class Center:
         return {"kind": self.kind.value, "pos": self.position}
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(NamedTuple("CyclicWord", [("letters", tuple[int, ...])])):
     """Primitive word of positive integers, read up to rotation."""
 
-    letters: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, letters):
-        object.__setattr__(self, "letters", PeriodicCF((), letters).period)  # checks the period invariants
+    def __new__(cls, letters):
+        return super().__new__(cls, PeriodicCF((), letters).period)  # checks the period invariants
+
+    @classmethod
+    def _make(cls, iterable):  # behind _replace too, so no copy skips the check
+        return cls(*iterable)
 
     def __len__(self):
         return len(self.letters)
@@ -112,8 +113,7 @@ def _centers(w: tuple[int, ...]) -> list[Center]:
     return found + [Center(CenterKind.GAP, k // 2) for k in half if k % 2]
 
 
-@dataclass(frozen=True)
-class ShapeDecomposition:
+class ShapeDecomposition(NamedTuple):
     """Rotation offsets (if any) exhibiting the three symmetric shapes:
     a regular palindrome; a regular palindrome followed by one even letter;
     a regular palindrome followed by one odd letter.  The palindrome part may

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 from surd_sails import cfrac
 from surd_sails.arith import QuadraticSurd
 from surd_sails.cfrac import PeriodicCF, value
-from surd_sails.cli import main, parse_cf, parse_surd, parse_surd_spec
+from surd_sails.cli import _MAX_NESTING, main, parse_cf, parse_surd, parse_surd_spec
 from surd_sails.errors import ParseError
 
 from conftest import src_env
@@ -202,6 +204,70 @@ class TestExitCodes:
 
     def test_success(self):
         assert main(["expand", "sqrt(2)"]) == 0
+
+
+class TestNestingLimit:
+    DEEP = {
+        "parentheses": "(" * 5000 + "sqrt(2)" + ")" * 5000,
+        "sqrt": "sqrt(" * 5000 + "2" + ")" * 5000,
+        "unary minus": "-" * 5000 + "sqrt(2)",
+    }
+
+    def test_deep_input_is_a_parse_error(self):
+        for kind, text in self.DEEP.items():
+            done = subprocess.run([sys.executable, "-m", "surd_sails.cli", "expand", "--", text],
+                                  env=src_env(), capture_output=True, text=True)
+            assert done.returncode == 1, kind
+            assert done.stderr.startswith("parse error: "), kind
+            assert f"nested deeper than the limit of {_MAX_NESTING} levels" in done.stderr, kind
+            assert "Traceback" not in done.stderr, kind
+
+    def test_position_is_inside_the_first_level_past_the_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse_surd("(" * (_MAX_NESTING + 1) + "sqrt(2)" + ")" * (_MAX_NESTING + 1))
+        assert info.value.position == _MAX_NESTING + 1
+
+    def test_input_at_the_limit_parses(self):
+        # levels: each '(', 'sqrt(' and unary '-' that encloses the innermost
+        # factor; an expression's leading '-' opens none
+        n = _MAX_NESTING
+        at_limit = {
+            "(" * (n - 1) + "sqrt(2)" + ")" * (n - 1): (0, 1, 1, 2),
+            "-" * n + "sqrt(2)": (0, 1, 1, 2),
+            "(1*-" * (n // 2 - 1) + "(sqrt(2))" + ")" * (n // 2 - 1): (0, -1, 1, 2),
+        }
+        for text, key in at_limit.items():
+            assert parse_surd(text).key() == key
+            with pytest.raises(ParseError, match="nested deeper than the limit"):
+                parse_surd("(" + text + ")")
+        with pytest.raises(ParseError, match="sqrt argument must be rational"):  # not the limit
+            parse_surd("sqrt(" * n + "2" + ")" * n)
+        with pytest.raises(ParseError, match="nested deeper than the limit"):
+            parse_surd("sqrt(" * (n + 1) + "2" + ")" * (n + 1))
+
+
+class TestWrittenFileMode:
+    def test_new_file_gets_the_mode_of_the_umask(self, capsys, tmp_path):
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            path = tmp_path / f"survey-{umask:o}.csv"
+            old = os.umask(umask)
+            try:
+                assert main(["survey", "--dmax", "20", "--csv", str(path)]) == 0
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(path.stat().st_mode) == mode
+        capsys.readouterr()
+
+    def test_existing_file_keeps_its_mode(self, capsys, tmp_path):
+        for argv in (["survey", "--dmax", "20", "--json"], ["sail", "sqrt(2)", "--svg"]):
+            path = tmp_path / "out"
+            path.write_text("old")
+            path.chmod(0o640)
+            assert main([*argv, str(path)]) == 0
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+            assert path.read_text() != "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no temporary file left
+        capsys.readouterr()
 
 
 class TestFreshProcess:

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -209,6 +210,25 @@ class TestSailFromSurd:
         # backward recurrence inverts the forward one
         for k in range(0, 3):
             assert even.vertex(k) == even.vertex(k - 2) + even.vertex(k - 1).scaled(2)
+
+    def test_windows_are_slices_of_a_wider_window(self):
+        alpha = QuadraticSurd(1, 1, 3, 13)
+        wide = dict(sail_from_surd(alpha, (-30, 30))[0].vertices)
+        for lo, hi in ((5, 9), (-20, -15), (-3, 4), (-2, -1), (-1, 0), (-30, -30), (30, 30)):
+            window = sail_from_surd(alpha, (lo, hi))[0].vertices
+            assert window == tuple((k, wide[k]) for k in range(lo, hi + 1)), (lo, hi)
+
+    def test_memory_grows_with_the_window_not_its_distance_from_0(self):
+        # two vertices 4,000 steps from the seeds; keeping every vertex on the
+        # way peaked at about 3.5 MB
+        for window in ((4000, 4001), (-4001, -4000)):
+            tracemalloc.start()
+            try:
+                sail_from_surd(SQRT2, window)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 200_000, (window, peak)
 
 
 class TestKorkina:

@@ -1,6 +1,9 @@
-"""The package's public names, the layers an import or a command loads, and the benchmark's tests."""
+"""The package's public names, its proof records, the layers an import or a command loads, and
+the benchmark's tests."""
 
+import copy
 import importlib
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,11 @@ from pathlib import Path
 import pytest
 
 import surd_sails
+from surd_sails.arith import QuadraticSurd
+from surd_sails.criterion import classify
+from surd_sails.errors import InvalidPeriod
+from surd_sails.geometry import QuadraticForm
+from surd_sails.symmetry import Center, CenterKind, CyclicWord, shape_decompose
 
 from conftest import src_env
 
@@ -82,6 +90,89 @@ class TestImportSet:
         )
         assert {"surd_sails.criterion", "surd_sails.symmetry"} <= loaded
         assert "surd_sails.geometry" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "sqrt(7)"],
+        ["sail", "sqrt(7)"],
+        ["auto", "1", "0", "-7"],
+        ["survey", "--dmax", "30"],
+    ])
+    def test_records_load_no_dataclasses(self, argv):
+        # the records are NamedTuples, so no command pays for dataclasses and inspect
+        loaded = modules_loaded_by(f"from surd_sails.cli import main\nmain({argv!r})")
+        assert "surd_sails.criterion" in loaded or "surd_sails.geometry" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
+
+
+class TestRecords:
+    """The six proof records keep their repr, equality, hash and immutability."""
+
+    def records(self):
+        word = CyclicWord([1, 2, 2])
+        result = classify(QuadraticSurd(0, 1, 1, 7))
+        witness = result.witnesses["a"]
+        return {
+            "Center": (Center(CenterKind.GAP, 3), "Center(kind=<CenterKind.GAP: 'gap'>, position=3)"),
+            "CyclicWord": (word, "CyclicWord(letters=(1, 2, 2))"),
+            "ShapeDecomposition": (shape_decompose(CyclicWord([1, 2, 1, 4])),
+                                   "ShapeDecomposition(regular_rotation=None, even_extra=0, odd_extra=None)"),
+            "QuadraticForm": (QuadraticForm(1, 0, -7), "QuadraticForm(a=1, b=0, c=-7)"),
+            "Witness": (witness, "Witness(omega=QuadraticSurd(0, 1, 1, 7), "
+                                 "certificate=UnimodularMatrix(1, 0, 0, -1), "
+                                 "period_map=UnimodularMatrix(127, 48, 336, 127))"),
+            "Classification": (result, f"Classification(surd=QuadraticSurd(0, 1, 1, 7), "
+                                       f"cf=PeriodicCF([2], [1, 1, 1, 4]), centers={result.centers!r}, "
+                                       f"flags={result.flags!r}, witnesses={result.witnesses!r})"),
+        }
+
+    def test_repr(self):
+        for name, (record, text) in self.records().items():
+            assert type(record).__name__ == name
+            assert repr(record) == text
+
+    def test_equal_records_are_equal_and_hash_alike(self):
+        for name, (record, _) in self.records().items():
+            twin = type(record)(*(getattr(record, f) for f in record._fields))
+            assert twin == record and not twin != record, name
+            if name != "Classification":  # its witnesses are a dict
+                assert hash(twin) == hash(record), name
+        assert Center(CenterKind.GAP, 3) != Center(CenterKind.GAP, 4)
+        assert CyclicWord([1, 2]) != CyclicWord([2, 1])
+        assert QuadraticForm(1, 0, -7) != QuadraticForm(1, 0, -3)
+
+    def test_fields_cannot_be_assigned(self):
+        for name, (record, _) in self.records().items():
+            for field in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, 1)
+            with pytest.raises(AttributeError):
+                record.extra = 1  # no __dict__ to grow
+
+    def test_copies_are_equal(self):
+        for name, (record, _) in self.records().items():
+            assert copy.copy(record) == record, name
+            assert copy.deepcopy(record) == record, name
+            assert pickle.loads(pickle.dumps(record)) == record, name
+            assert record._replace() == record, name
+
+    def test_cyclic_word_checks_its_letters(self):
+        word = CyclicWord([1, 2, 2])
+        assert len(word) == 3 and word.letters == (1, 2, 2) and word.rotated(1) == (2, 2, 1)
+        assert word._replace(letters=[2, 1]) == CyclicWord((2, 1))
+        for bad in ([], [0, 1], [1, 1], [1, 2, 1, 2]):
+            with pytest.raises(InvalidPeriod):
+                CyclicWord(bad)
+            with pytest.raises(InvalidPeriod):
+                word._replace(letters=bad)
+
+    def test_quadratic_form_checks_its_discriminant(self):
+        form = QuadraticForm(1, 0, -7)
+        assert form._replace(c=-3) == QuadraticForm(1, 0, -3)
+        for build in (QuadraticForm, form._replace):
+            with pytest.raises(ValueError, match=r"^form must be indefinite \(positive discriminant\)$"):
+                build(a=1, b=0, c=1)
+            with pytest.raises(ValueError, match=r"^discriminant 4 = 2\^2 is a perfect square$"):
+                build(a=1, b=0, c=-4)
 
 
 class TestBenchmark:
