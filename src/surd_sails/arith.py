@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DivisionByZero, RadicandMismatch, RationalValue, ResourceLimit, ZeroDenominator
 
@@ -381,34 +381,24 @@ def _inverse(m: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return d * s, -d * q, -d * r, d * p
 
 
-class UnimodularMatrix:
-    """Row-major integer matrix [[p, q], [r, s]] with determinant +1 or -1."""
+class UnimodularMatrix(NamedTuple("UnimodularMatrix", [("p", int), ("q", int), ("r", int), ("s", int)])):
+    """Row-major integer matrix [[p, q], [r, s]] with determinant +1 or -1.
 
-    __slots__ = ("p", "q", "r", "s")
+    The matrix is the entry tuple (p, q, r, s) that _product and _inverse take.
+    _make(entries) is the trusted constructor, for continuants, whose
+    determinant is (-1)**letters, and for products, inverses and entry
+    permutations of unimodular matrices.
+    """
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __init__(self, p: int, q: int, r: int, s: int):
+    def __new__(cls, p: int, q: int, r: int, s: int):
         if p * s - q * r not in (1, -1):
             raise ValueError(f"determinant {p * s - q * r} is not +-1")
-        self.p = p
-        self.q = q
-        self.r = r
-        self.s = s
+        return super().__new__(cls, p, q, r, s)
 
-    @classmethod
-    def _make(cls, p: int, q: int, r: int, s: int) -> "UnimodularMatrix":
-        """Trusted constructor for continuants, whose determinant is (-1)**letters, and for
-        products, inverses and entry permutations of unimodular matrices."""
-        self = object.__new__(cls)
-        self.p = p
-        self.q = q
-        self.r = r
-        self.s = s
-        return self
+    def _replace(self, **changes) -> "UnimodularMatrix":
+        return type(self)(*super()._replace(**changes))  # _make is trusted, so check the copy
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
@@ -423,13 +413,13 @@ class UnimodularMatrix:
         return self.p + self.s
 
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix._make(*_product(self._entries(), other._entries()))
+        return UnimodularMatrix._make(_product(self, other))
 
     def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix._make(*_inverse(self._entries()))
+        return UnimodularMatrix._make(_inverse(self))
 
     def transpose(self) -> "UnimodularMatrix":
-        return UnimodularMatrix._make(self.p, self.r, self.q, self.s)
+        return UnimodularMatrix._make((self.p, self.r, self.q, self.s))
 
     def apply(self, v: tuple[int, int]) -> tuple[int, int]:
         """Column-vector action on a lattice point."""
@@ -440,25 +430,15 @@ class UnimodularMatrix:
         """Fractional-linear action (p*x + q) / (r*x + s)."""
         # (u + v sqrt d)/(w + z sqrt d), times the conjugate of the denominator;
         # the sqrt coefficient v*w - u*z collapses to det*b*c, never zero
-        p, r, a, b, c, d = self.p, self.r, x.a, x.b, x.c, x.d
-        u, v, w, z = p * a + self.q * c, p * b, r * a + self.s * c, r * b
+        p, q, r, s = self
+        a, b, c, d = x.a, x.b, x.c, x.d
+        u, v, w, z = p * a + q * c, p * b, r * a + s * c, r * b
         num, den = u * w - v * z * d, w * w - z * z * d
-        return QuadraticSurd._reduce(num, self.det * b * c, den, d)  # type: ignore[return-value]
+        return QuadraticSurd._reduce(num, (p * s - q * r) * b * c, den, d)  # type: ignore[return-value]
 
     def act_on_slope(self, slope: QuadraticSurd) -> QuadraticSurd:
         """Slope of the image of the line through (1, slope): (r + s*t)/(p + q*t)."""
-        return UnimodularMatrix._make(self.s, self.r, self.q, self.p).mobius(slope)
-
-    def __eq__(self, other):
-        if isinstance(other, UnimodularMatrix):
-            return self._entries() == other._entries()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._entries())
-
-    def _entries(self) -> tuple[int, int, int, int]:
-        return self.p, self.q, self.r, self.s
+        return UnimodularMatrix._make(self[::-1]).mobius(slope)  # (s, r, q, p)
 
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return (self.p, self.q), (self.r, self.s)

@@ -27,21 +27,19 @@ _ITERATION_CAP = 10**6
 _LEAF = 64  # words up to this many letters take the letter-by-letter loop
 
 
-class PeriodicCF:
+class PeriodicCF(NamedTuple("PeriodicCF", [("preperiod", tuple[int, ...]), ("period", tuple[int, ...])])):
     """Preperiod plus minimal period of partial quotients.
 
     Invariants: the period is primitive (not a repetition of a shorter
     word) and consists of integers >= 1; the preperiod is minimal (its
     last letter cannot be absorbed into a rotation of the period); every
-    preperiod letter after the first is >= 1.
+    preperiod letter after the first is >= 1.  _make((preperiod, period))
+    is the trusted constructor, for words with the invariants established.
     """
 
-    __slots__ = ("preperiod", "period")
+    __slots__ = ()
 
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __init__(self, preperiod, period):
+    def __new__(cls, preperiod, period):
         preperiod = tuple(preperiod)
         period = tuple(period)
         _check_letters(preperiod, period)
@@ -51,16 +49,10 @@ class PeriodicCF:
             raise InvalidPeriod(
                 f"preperiod {preperiod} is not minimal against period {period}"
             )
-        self.preperiod = preperiod
-        self.period = period
+        return super().__new__(cls, preperiod, period)
 
-    @classmethod
-    def _make(cls, preperiod: tuple[int, ...], period: tuple[int, ...]) -> "PeriodicCF":
-        """Trusted constructor for words with the invariants already established."""
-        self = object.__new__(cls)
-        self.preperiod = preperiod
-        self.period = period
-        return self
+    def _replace(self, **changes) -> "PeriodicCF":
+        return type(self)(*super()._replace(**changes))  # _make is trusted, so check the copy
 
     @classmethod
     def normalized(cls, preperiod, period) -> "PeriodicCF":
@@ -72,7 +64,7 @@ class PeriodicCF:
         while preperiod and preperiod[-1] == period[-1]:
             preperiod.pop()
             period = [period[-1]] + period[:-1]
-        return cls._make(tuple(preperiod), tuple(period))
+        return cls._make((tuple(preperiod), tuple(period)))
 
     @property
     def preperiod_length(self) -> int:
@@ -93,14 +85,6 @@ class PeriodicCF:
                 yield self.preperiod[k]
             else:
                 yield self.period[(k - len(self.preperiod)) % t]
-
-    def __eq__(self, other):
-        if isinstance(other, PeriodicCF):
-            return self.preperiod == other.preperiod and self.period == other.period
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
 
     def __repr__(self):
         return f"PeriodicCF({list(self.preperiod)}, {list(self.period)})"
@@ -235,7 +219,7 @@ def _expansion_and_cycle(alpha: QuadraticSurd) -> tuple[PeriodicCF, list[tuple[i
     letters, states, start, root = _quotient_walk(alpha)
     # The cycle starts at the first reduced state, so the period is primitive.  Equal last
     # letters of the preperiod and the period would make the state before it a cycle state.
-    return PeriodicCF._make(tuple(letters[:start]), tuple(letters[start:])), states[start:], root
+    return PeriodicCF._make((tuple(letters[:start]), tuple(letters[start:]))), states[start:], root
 
 
 def _surds(states: list[tuple[int, int]], root: int, d: int) -> list[QuadraticSurd]:
@@ -262,7 +246,7 @@ def value(cf: PeriodicCF) -> QuadraticSurd:
     x = QuadraticSurd.from_root(r, s - p, -q)
     if not x.is_reduced():
         raise InternalInvariantError(f"no reduced root for period {cf.period}")
-    return UnimodularMatrix._make(*continuant(cf.preperiod)).mobius(x)
+    return UnimodularMatrix._make(continuant(cf.preperiod)).mobius(x)
 
 
 def convergents(cf: PeriodicCF, n: int) -> list[Convergent]:
@@ -325,7 +309,7 @@ def serret_matrix(alpha: QuadraticSurd, omega: QuadraticSurd) -> UnimodularMatri
             j = omega_index.get(x)
             if j is not None:
                 result = UnimodularMatrix._make(
-                    *_product(continuant(a_letters[:i]), _inverse(continuant(w_letters[:j]))))
+                    _product(continuant(a_letters[:i]), _inverse(continuant(w_letters[:j]))))
                 if result.mobius(omega) != alpha:
                     raise InternalInvariantError(
                         f"tail composition failed for {alpha}, {omega}"

@@ -529,7 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SurdSailsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalInvariantError as exc:

@@ -129,8 +129,8 @@ def _witnesses(alpha: QuadraticSurd, period: tuple[int, ...], cycle: list[tuple[
         seed = sp, sq, sr, ss = _seed(flag, rot[0])
         # the period map M sends (v_{-2}, v_{-1}) to (v_{2t-2}, v_{2t-1}); with S
         # the seed, the chain's columns are S K K = M S
-        mp, mq, mr, ms = _product(_product(seed, kk), _inverse(seed))
-        omega = UnimodularMatrix._make(sr, ss, sp, sq).mobius(x)  # J S
+        period_map = mp, mq, mr, ms = _product(_product(seed, kk), _inverse(seed))
+        omega = UnimodularMatrix._make((sr, ss, sp, sq)).mobius(x)  # J S
         a, c = omega.a, omega.c
         n = a * a - omega.b * omega.b * omega.d
         # the case equation: the certificate sends omega to -omega, 1 - omega, 1/omega
@@ -142,7 +142,7 @@ def _witnesses(alpha: QuadraticSurd, period: tuple[int, ...], cycle: list[tuple[
         if not (case and fixed):
             problem = "is not a fixed slope of its period map" if case else "fails its case equation"
             raise InternalInvariantError(f"witness ({flag}) {omega!r} of {alpha!r} {problem}")
-        out[flag] = Witness(omega, _CERTIFICATES[flag], UnimodularMatrix._make(mp, mq, mr, ms))
+        out[flag] = Witness(omega, _CERTIFICATES[flag], UnimodularMatrix._make(period_map))
     return out
 
 

@@ -182,21 +182,24 @@ def _chain(
 ) -> dict[int, LatticePoint]:
     """Vertices v_k over [k_min, k_max] from v_{-2}, v_{-1} and letters a_k.
 
-    Both walks away from the seeds keep two running vertices and store only
-    those in the window, so memory grows with the window, not its distance from 0.
+    The window's first columns (v_{k_min+1} | v_{k_min}) are the seed columns
+    (v_{-1} | v_{-2}) times the continuant of a_0 .. a_{k_min+1}, or, for a
+    window that starts before the seeds, times the inverse of the continuant
+    of a_{k_min+2} .. a_{-1}.  Only the window is then walked and stored.
     """
-    v = {k: pt for k, pt in ((-2, seeds[0]), (-1, seeds[1])) if k_min <= k <= k_max}
-    m = (seeds[1][0], seeds[0][0], seeds[1][1], seeds[0][1])  # columns (v_{k-1} | v_{k-2})
-    for k in range(k_max + 1):
+    m = (seeds[1][0], seeds[0][0], seeds[1][1], seeds[0][1])  # columns (v_{-1} | v_{-2})
+    j = k_min + 1
+    if j >= -1:
+        m = continuant([letter_at(k) for k in range(j + 1)], *m)
+    else:
+        m = _product(m, _inverse(continuant([letter_at(k) for k in range(j + 1, 0)])))
+    v = {k_min: LatticePoint(m[1], m[3])}
+    if j <= k_max:
+        v[j] = LatticePoint(m[0], m[2])
+    for k in range(j + 1, k_max + 1):
         m = continuant((letter_at(k),), *m)
-        if k >= k_min:
-            v[k] = LatticePoint(m[0], m[2])
-    hi, lo = seeds[1], seeds[0]  # v_k, v_{k-1}
-    for k in range(-1, k_min + 1, -1):
-        hi, lo = lo, hi - lo.scaled(letter_at(k))
-        if k - 2 <= k_max:
-            v[k - 2] = lo
-    return {k: v[k] for k in range(k_min, k_max + 1)}
+        v[k] = LatticePoint(m[0], m[2])
+    return v
 
 
 def _check_chain_laws(v: dict[int, LatticePoint], a: dict[int, int]) -> None:
@@ -362,7 +365,7 @@ class QuadraticForm(NamedTuple("QuadraticForm", [("a", int), ("b", int), ("c", i
 
     def transformed(self, m: UnimodularMatrix) -> "QuadraticForm":
         """The composed form f(M (x, y))."""
-        p, q, r, s = m.p, m.q, m.r, m.s
+        p, q, r, s = m
         c2 = self.value(p, r)
         a2 = self.value(q, s)
         b2 = self.c * p * q + self.b * (p * s + q * r) + self.a * r * s
@@ -401,8 +404,8 @@ def lagrange_automorphism(form: QuadraticForm) -> UnimodularMatrix:
     if len(cf.period) % 2:  # det K = (-1)^t
         k = _product(k, k)
     head = continuant(cf.preperiod)
-    p, q, r, s = _product(_product(head, k), _inverse(head))
-    return UnimodularMatrix._make(s, r, q, p)
+    n = _product(_product(head, k), _inverse(head))
+    return UnimodularMatrix._make(n[::-1])  # N on slopes: (s, r, q, p)
 
 
 def fixed_line_surds(m: UnimodularMatrix) -> tuple[QuadraticSurd, QuadraticSurd]:
@@ -443,23 +446,21 @@ def _slope_direction(slope: QuadraticSurd, reach: int) -> tuple[int, int]:
     return k * x, k * y
 
 
-def emit_svg(sails: Sequence[Sail], viewport: Optional[tuple[int, int, int, int]] = None) -> str:
+def emit_svg(sails: Sequence[Sail]) -> str:
     """Render sails as an SVG 1.1 document.
 
     Draws the lattice, the cone lines (when the sail records exact slopes),
-    each sail's boundary, the vertex sprouts, and the letter labels.
+    each sail's boundary, the vertex sprouts, and the letter labels, in the
+    box around the sails' vertices.
     """
-    if viewport is None:
-        pts = [pt for s in sails for _k, pt in s.vertices]
-        if pts:
-            xmin = min(p.x for p in pts) - 1
-            xmax = max(p.x for p in pts) + 1
-            ymin = min(p.y for p in pts) - 1
-            ymax = max(p.y for p in pts) + 1
-        else:
-            xmin, ymin, xmax, ymax = -5, -5, 5, 5
+    pts = [pt for s in sails for _k, pt in s.vertices]
+    if pts:
+        xmin = min(p.x for p in pts) - 1
+        xmax = max(p.x for p in pts) + 1
+        ymin = min(p.y for p in pts) - 1
+        ymax = max(p.y for p in pts) + 1
     else:
-        xmin, ymin, xmax, ymax = viewport
+        xmin, ymin, xmax, ymax = -5, -5, 5, 5
     sc = _SVG_SCALE
 
     def ax(x):
@@ -475,7 +476,7 @@ def emit_svg(sails: Sequence[Sail], viewport: Optional[tuple[int, int, int, int]
         f"<style>{_STYLE}</style>",
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    if (xmax - xmin + 1) * (ymax - ymin + 1) <= 20_000:  # keep huge viewports light
+    if (xmax - xmin + 1) * (ymax - ymin + 1) <= 20_000:  # keep huge boxes light
         for x in range(xmin, xmax + 1):
             for y in range(ymin, ymax + 1):
                 out.append(f'<circle class="grid" cx="{ax(x)}" cy="{ay(y)}" r="2"/>')

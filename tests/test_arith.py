@@ -6,6 +6,8 @@ import pytest
 from surd_sails.arith import (
     QuadraticSurd,
     UnimodularMatrix,
+    _inverse,
+    _product,
     mobius,
     sqrt_of,
     squarefree_split,
@@ -346,6 +348,11 @@ class TestMatrix:
     def test_apply(self):
         m = UnimodularMatrix(1, 1, 0, 1)
         assert m.apply((1, 2)) == (3, 2)
+
+    def test_one_product_takes_matrices(self):
+        m, n = UnimodularMatrix(3, 2, 4, 3), UnimodularMatrix(0, 1, 1, 5)
+        assert _product(m, n) == m @ n == (2, 13, 3, 19)
+        assert _inverse(m) == m.inverse()
 
 
 class TestRendering:

@@ -205,6 +205,21 @@ class TestExitCodes:
     def test_success(self):
         assert main(["expand", "sqrt(2)"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--dmax", "20", "--csv"],
+        ["survey", "--dmax", "20", "--json"],
+        ["sail", "sqrt(2)", "--svg"],
+    ])
+    def test_unwritable_output_file_is_an_error(self, argv, tmp_path):
+        # a file in a missing directory, and a path that names a directory
+        for target in (tmp_path / "missing" / "out", tmp_path):
+            done = subprocess.run([sys.executable, "-m", "surd_sails.cli", *argv, str(target)],
+                                  env=src_env(), capture_output=True, text=True)
+            assert done.returncode == 1, done.stderr
+            assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+            assert "Traceback" not in done.stderr and done.stdout == ""
+            assert not list(tmp_path.rglob(".tmp-surd-sails-*"))
+
 
 class TestNestingLimit:
     DEEP = {

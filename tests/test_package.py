@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import surd_sails
-from surd_sails.arith import QuadraticSurd
+from surd_sails.arith import QuadraticSurd, UnimodularMatrix
+from surd_sails.cfrac import PeriodicCF
 from surd_sails.criterion import classify
 from surd_sails.errors import InvalidPeriod
 from surd_sails.geometry import QuadraticForm
@@ -105,7 +106,8 @@ class TestImportSet:
 
 
 class TestRecords:
-    """The six proof records keep their repr, equality, hash and immutability."""
+    """The six proof records, the matrix and the continued fraction keep their repr, equality
+    and hash, and are immutable."""
 
     def records(self):
         word = CyclicWord([1, 2, 2])
@@ -123,6 +125,8 @@ class TestRecords:
             "Classification": (result, f"Classification(surd=QuadraticSurd(0, 1, 1, 7), "
                                        f"cf=PeriodicCF([2], [1, 1, 1, 4]), centers={result.centers!r}, "
                                        f"flags={result.flags!r}, witnesses={result.witnesses!r})"),
+            "UnimodularMatrix": (witness.certificate, "UnimodularMatrix(1, 0, 0, -1)"),
+            "PeriodicCF": (result.cf, "PeriodicCF([2], [1, 1, 1, 4])"),
         }
 
     def test_repr(self):
@@ -139,6 +143,8 @@ class TestRecords:
         assert Center(CenterKind.GAP, 3) != Center(CenterKind.GAP, 4)
         assert CyclicWord([1, 2]) != CyclicWord([2, 1])
         assert QuadraticForm(1, 0, -7) != QuadraticForm(1, 0, -3)
+        assert UnimodularMatrix(1, 0, 0, 1) != UnimodularMatrix(1, 1, 0, 1)
+        assert PeriodicCF((), (1, 2)) != PeriodicCF((1,), (2,))
 
     def test_fields_cannot_be_assigned(self):
         for name, (record, _) in self.records().items():
@@ -164,6 +170,17 @@ class TestRecords:
                 CyclicWord(bad)
             with pytest.raises(InvalidPeriod):
                 word._replace(letters=bad)
+
+    def test_matrix_and_continued_fraction_copies_are_checked(self):
+        m, cf = UnimodularMatrix(1, 0, 0, 1), PeriodicCF((), (1, 2))
+        assert m._replace(q=7) == UnimodularMatrix(1, 7, 0, 1)
+        assert cf._replace(preperiod=(3,)) == PeriodicCF((3,), (1, 2))
+        with pytest.raises(ValueError, match=r"^determinant 2 is not \+-1$"):
+            m._replace(p=2)
+        with pytest.raises(InvalidPeriod, match=r"is a power of a shorter word$"):
+            cf._replace(period=(1, 1))
+        with pytest.raises(InvalidPeriod, match=r"is not minimal against period"):
+            cf._replace(preperiod=(2,))
 
     def test_quadratic_form_checks_its_discriminant(self):
         form = QuadraticForm(1, 0, -7)
